@@ -2,7 +2,7 @@
 
 Six pieces, one pipeline: Bromwich contour quadrature for the interaction
 kernel (laplace), the zero-range limit measures built from it (zerorange),
-shooting plus finite-difference spectra of the well operator (spectral),
+exact transfer-matrix spectra of the well operator (spectral),
 Crank-Nicolson heat flows for the finite-size laws (heatflow), weighted
 Wiener ensembles under diffusive rescaling (montecarlo), and a CLI that
 orchestrates the verification suites (cli).
@@ -23,7 +23,6 @@ from .laplace import (
 from .potentials import RadialPotential, scaled_ball_potential, unit_ball_potential
 from .radial import RadialDensity, default_radial_grid, wiener_radial_cdf
 from .spectral import (
-    IndeterminateEigenvalueError,
     SpectralSummary,
     compute_summary,
     critical_beta,
@@ -77,7 +76,6 @@ __all__ = [
     "RadialDensity",
     "default_radial_grid",
     "wiener_radial_cdf",
-    "IndeterminateEigenvalueError",
     "SpectralSummary",
     "compute_summary",
     "critical_beta",

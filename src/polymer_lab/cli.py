@@ -2,9 +2,9 @@
 
 One executable, one command per run.  Exit codes: 0 success, 1 usage or
 input error, 2 a verification property failed, 3 verification inconclusive
-(importance-sampling collapse, Monte Carlo noise larger than the gap under
-test, or an indeterminate eigenvalue).  Every run that gets past argument
-parsing writes ``manifest.json`` into the output directory with all inputs
+(importance-sampling collapse, or Monte Carlo noise larger than the gap
+under test).  Every run that gets past argument parsing writes
+``manifest.json`` into the output directory with all inputs
 materialized (defaults included), library versions, wall time, and the exit
 code, so a run is reproducible from its manifest and the same binary.
 
@@ -30,7 +30,6 @@ import scipy
 from . import __version__, heatflow, montecarlo, spectral, zerorange
 from .laplace import ContourSpec, kernel_integral
 from .potentials import RadialPotential, scaled_ball_potential
-from .spectral import IndeterminateEigenvalueError
 from .zerorange import GridExhaustionError, ZeroRangeParams
 
 __all__ = ["RunConfig", "load_potential", "run", "main"]
@@ -77,7 +76,6 @@ class RunConfig:
     dt: float
     seed: int
     out_dir: str
-    threads: int | None
     nodes: int | None
     fmt: str
     steps: int
@@ -158,7 +156,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (fallback: POLYMER_LAB_SEED, then 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     p.add_argument("--nodes", type=int, default=None, help="contour quadrature nodes")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return p
@@ -190,6 +187,16 @@ def _write_table(cfg: RunConfig, name: str, table) -> str:
         path = os.path.join(cfg.out_dir, f"{name}.csv")
         table.to_csv(path)
     return path
+
+
+def _write_report(cfg: RunConfig, name: str, report) -> list:
+    """A Monte Carlo report as <name>.json and <name>.csv, whatever --format says."""
+    jpath = os.path.join(cfg.out_dir, f"{name}.json")
+    _write_json(jpath, report.to_json_dict())
+    cpath = os.path.join(cfg.out_dir, f"{name}.csv")
+    with open(cpath, "w") as fh:
+        fh.write(report.to_csv())
+    return [jpath, cpath]
 
 
 # each _cmd_* returns (exit_code, [output paths], stdout lines)
@@ -248,22 +255,14 @@ def _cmd_sample(cfg: RunConfig):
     return 0, [out], [f"sampled {cfg.n_paths} paths of {cfg.steps} steps"]
 
 
-def _cmd_verify_prop1(cfg: RunConfig):
+def _cmd_verify_heatflow(cfg: RunConfig):
+    name = cfg.command.removeprefix("verify-")  # "prop1" or "prop3"
     v = load_potential(cfg.potential)
     summary = spectral.compute_summary(v)
-    table = heatflow.verify_prop1(v, summary, cfg.chi, cfg.T_list, t=cfg.t)
-    path = _write_table(cfg, "prop1", table)
-    ok = table.strictly_decreasing
-    lines = [f"T = {T!r}: sup error {e!r}" for T, e in table.rows]
-    lines.append("PASS: errors strictly decreasing" if ok else "FAIL: errors not decreasing")
-    return (0 if ok else 2), [path], lines
-
-
-def _cmd_verify_prop3(cfg: RunConfig):
-    v = load_potential(cfg.potential)
-    summary = spectral.compute_summary(v)
-    table = heatflow.verify_prop3(v, summary, cfg.chi, cfg.T_list, t=cfg.t)
-    path = _write_table(cfg, "prop3", table)
+    # looked up per call so the module attribute can be swapped out
+    verify = getattr(heatflow, f"verify_{name}")
+    table = verify(v, summary, cfg.chi, cfg.T_list, t=cfg.t)
+    path = _write_table(cfg, name, table)
     ok = table.strictly_decreasing
     lines = [f"T = {T!r}: sup error {e!r}" for T, e in table.rows]
     lines.append("PASS: errors strictly decreasing" if ok else "FAIL: errors not decreasing")
@@ -284,11 +283,7 @@ def _cmd_verify_theorem(cfg: RunConfig):
     report = montecarlo.verify_theorem2(
         v, cfg.chi, cfg.T_list, cfg.times, cfg.n_paths, cfg.seed, dt=cfg.dt
     )
-    jpath = os.path.join(cfg.out_dir, "theorem2.json")
-    _write_json(jpath, report.to_json_dict())
-    cpath = os.path.join(cfg.out_dir, "theorem2.csv")
-    with open(cpath, "w") as fh:
-        fh.write(report.to_csv())
+    paths = _write_report(cfg, "theorem2", report)
     lines = [f"T = {T!r}, t = {t!r}: KS {ks!r}" for T, t, ks in report.table]
     if report.inconclusive:
         lines.append("INCONCLUSIVE: importance-sampling ESS collapsed")
@@ -299,7 +294,7 @@ def _cmd_verify_theorem(cfg: RunConfig):
     else:
         lines.append("FAIL: KS not decreasing or above threshold")
         code = 2
-    return code, [jpath, cpath], lines
+    return code, paths, lines
 
 
 def _cmd_verify_prop2(cfg: RunConfig):
@@ -309,11 +304,7 @@ def _cmd_verify_prop2(cfg: RunConfig):
         v, cfg.chi, cfg.T_list, t, (1.0, 0.0, 0.0),
         lambda r: np.exp(-0.5 * r * r), cfg.n_paths, cfg.seed, dt=cfg.dt,
     )
-    jpath = os.path.join(cfg.out_dir, "prop2.json")
-    _write_json(jpath, report.to_json_dict())
-    cpath = os.path.join(cfg.out_dir, "prop2.csv")
-    with open(cpath, "w") as fh:
-        fh.write(report.to_csv())
+    paths = _write_report(cfg, "prop2", report)
     lines = [
         f"T = {T!r}: estimate {est!r} vs {ref!r} (rel gap {gap!r}, se {se!r})"
         for T, est, ref, gap, se in report.rows
@@ -327,7 +318,7 @@ def _cmd_verify_prop2(cfg: RunConfig):
     else:
         lines.append("FAIL: relative gaps not decreasing")
         code = 2
-    return code, [jpath, cpath], lines
+    return code, paths, lines
 
 
 _DISPATCH = {
@@ -335,8 +326,8 @@ _DISPATCH = {
     "kernel": _cmd_kernel,
     "marginal": _cmd_marginal,
     "sample": _cmd_sample,
-    "verify-prop1": _cmd_verify_prop1,
-    "verify-prop3": _cmd_verify_prop3,
+    "verify-prop1": _cmd_verify_heatflow,
+    "verify-prop3": _cmd_verify_heatflow,
     "verify-poten": _cmd_verify_poten,
     "verify-theorem": _cmd_verify_theorem,
     "verify-prop2": _cmd_verify_prop2,
@@ -351,17 +342,11 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
-    if cfg.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(cfg.threads)
     try:
         code, outputs, lines = _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError, GridExhaustionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except IndeterminateEigenvalueError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        code, outputs, lines = 3, [], []
     for line in lines:
         print(line)
     manifest = {
@@ -397,7 +382,6 @@ def main(argv=None) -> int:
             dt=args.dt,
             seed=_resolve_seed(args.seed),
             out_dir=args.out,
-            threads=args.threads,
             nodes=args.nodes,
             fmt=args.fmt,
             steps=args.steps,

@@ -42,7 +42,6 @@ __all__ = [
     "ContourPlacementError",
     "LaplaceEvaluationError",
     "bromwich_invert",
-    "bromwich_invert_with_noise",
     "kernel_integral",
     "kernel_integral_with_noise",
     "kernel_closed_form",
@@ -250,13 +249,13 @@ def _assemble(
     return value, noise
 
 
-def bromwich_invert_with_noise(
+def bromwich_invert(
     F: Callable[[np.ndarray], np.ndarray],
     t: float,
     contour: ContourSpec,
     check_symmetry: bool = True,
-) -> Tuple[float, float]:
-    """Invert a Laplace transform and report a round-off estimate.
+) -> float:
+    """Real inverse Laplace transform of F at time t along the contour.
 
     Parameters
     ----------
@@ -270,25 +269,9 @@ def bromwich_invert_with_noise(
         for transforms without built-in decay along the contour.
     check_symmetry : bool
         Sample-check F(conj lam) = conj F(lam) before integrating.
-
-    Returns
-    -------
-    (value, noise) : tuple of float
-        The real inverse at t, and an estimate of the quadrature's
-        round-off floor on the same scale as the value.
     """
     _require(math.isfinite(t) and t > 0.0, "t must be finite and > 0")
-    return _assemble(F, t, contour, 0.0, None, check_symmetry)
-
-
-def bromwich_invert(
-    F: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    contour: ContourSpec,
-    check_symmetry: bool = True,
-) -> float:
-    """Real inverse Laplace transform of F at time t along the contour."""
-    return bromwich_invert_with_noise(F, t, contour, check_symmetry)[0]
+    return _assemble(F, t, contour, 0.0, None, check_symmetry)[0]
 
 
 def _kernel_transform(gamma: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -338,6 +338,19 @@ def _derived_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(k))).generate_state(1)[0])
 
 
+def _weight_moment_exponent(v: RadialPotential, beta: float, horizon: float) -> float:
+    """(lam(2 beta) - 2 lam(beta)) * horizon, the growth exponent of E[w^2]/E[w]^2.
+
+    The weights' ESS ratio tends to the exponential of minus this, so the
+    spectrum alone says when a horizon is out of reach.  Exponential weight
+    tails hide that from the realized ESS and standard error whenever the
+    dominant paths were never drawn.
+    """
+    lam2 = spectral.principal_eigenvalue(v, 2.0 * beta) or 0.0
+    lam1 = spectral.principal_eigenvalue(v, beta) or 0.0
+    return (lam2 - 2.0 * lam1) * horizon
+
+
 @dataclass(frozen=True)
 class Theorem2Report:
     """KS table of rescaled radial marginals against a model law."""
@@ -394,7 +407,10 @@ def verify_theorem2(
     radial law with model="wiener".  Passing means every t shows a KS
     decrease from the smallest to the largest horizon and the largest
     horizon lands under ks_threshold.  ESS collapse (ratio below 1%) on
-    any horizon makes the verdict inconclusive.
+    any horizon makes the verdict inconclusive, and so does a predicted
+    collapse: a weight second moment more than 1/1% = 100 times the squared
+    mean, which a realized sample can hide by never drawing the dominant
+    paths.
     """
     if model not in ("limit", "wiener"):
         raise ValueError(f"model must be 'limit' or 'wiener', got {model!r}")
@@ -435,6 +451,8 @@ def verify_theorem2(
             for t in times:
                 g = empirical_radial_marginal(r, round(t * T / dt) * dt / T)
                 rows.append((T, t, ks_distance(g, model_cdfs[t])))
+        if _weight_moment_exponent(v, beta, T) > -math.log(_ESS_FLOOR):
+            inconclusive = True
 
     per_time = {}
     ok = True
@@ -539,11 +557,6 @@ def verify_prop2(
     for k, T in enumerate(T_list):
         beta = summary.beta_cr + chi / math.sqrt(T)
         y = math.sqrt(T) * y0
-        try:
-            lam2 = spectral.principal_eigenvalue(v, 2.0 * beta) or 0.0
-            lam1 = spectral.principal_eigenvalue(v, beta) or 0.0
-        except spectral.IndeterminateEigenvalueError:
-            lam2 = lam1 = 0.0
         ry = float(np.linalg.norm(y))
         tau = round(t * T / dt) * dt
         with warnings.catch_warnings():
@@ -568,14 +581,12 @@ def verify_prop2(
 
         gap = abs(est - ref) / abs(ref)
         rows.append((T, est, ref, gap, se))
-        # Exponential weight tails evade both the empirical SE and the ESS
-        # alarm when the dominant paths were never drawn.  The second moment
-        # of the weights grows like exp((lam(2b) - 2 lam(b)) tau); once that
-        # exceeds n^2 the mean cannot be resolved from n paths no matter what
-        # the realized sample claims, so the row is inconclusive by analysis.
+        # once the weights' second moment exceeds n^2 times the squared
+        # mean, n paths cannot resolve the mean no matter what the realized
+        # sample claims, so the row is inconclusive by analysis
         if se > abs(est - ref) or e.ess_warning:
             inconclusive = True
-        if (lam2 - 2.0 * lam1) * tau > 2.0 * math.log(n):
+        if _weight_moment_exponent(v, beta, tau) > 2.0 * math.log(n):
             inconclusive = True
 
     gaps = [r[3] for r in rows]

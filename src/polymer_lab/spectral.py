@@ -15,23 +15,32 @@ that parametrize the critical window of the polymer measure:
   * kappa = 1/(beta_cr int v psi), and c = sqrt(2)/(beta_cr^2 gamma1),
     the factor mapping a window offset chi to the zero-range coupling.
 
-Bound states below the continuum edge decay like e^{-sqrt(2 lam) r}, so
-resolving lam ~ 1e-4 demands boxes of size ~1e3 with interior steps ~1e-3.
-A fixed uniform grid cannot afford that; the finite-difference solver uses
-a graded mesh (uniform over the well, geometric growth outside, capped by
-the decay length) with box size and outer step quantized so that meshes
-are reproducible functions of the eigenvalue scale being resolved.
+Every well is piecewise constant, so on each cell u'' = q u with constant
+q = 2 (lam - beta v) has an exact cos/sin, cosh/sinh or linear solution,
+and (u, u') at the support edge R is a product of 2x2 transfer matrices.
+One quantity carries every matching condition: the Pruefer angle theta of
+(u, u') at R, the continuous angle of atan2(u, u') started at theta(0) = 0.
+It passes a multiple of pi exactly where u has a zero, increases with beta,
+and decreases with lam (Sturm comparison).  Outside the well a zero-energy
+solution is linear and a bound state decays like e^{-sqrt(2 lam) r}, so
+
+  * the resonance at beta_cr is theta = pi/2 (u'(R) = 0, u > 0 throughout),
+  * a bound state exists iff theta(lam = 0) > pi/2, i.e. iff the zero-energy
+    solution has a zero in (0, R) or u'(R) < 0,
+  * the ground state is the node-free solution of u'(R) + sqrt(2 lam) u(R) = 0,
+    i.e. theta = pi/2 + arctan(sqrt(2 lam)).
+
+Each condition is monotone in the unknown, so brentq finds the unique root
+of its bracket, and no mesh, box or step size enters any constant.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .potentials import RadialPotential
@@ -41,7 +50,6 @@ __all__ = [
     "SpectralSummary",
     "ExpansionFit",
     "BracketError",
-    "IndeterminateEigenvalueError",
     "FitQualityError",
     "critical_beta",
     "ground_state_psi",
@@ -58,78 +66,95 @@ class BracketError(RuntimeError):
     """Root bracketing failed; the potential is outside the solver's reach."""
 
 
-class IndeterminateEigenvalueError(RuntimeError):
-    """Shooting certifies a bound state the grid solver cannot resolve."""
-
-
 class FitQualityError(RuntimeError):
     """Regression diagnostics reject the square-root expansion fit."""
 
 
+# psi is tabulated on this many equally spaced nodes over [0, R]
+_PSI_NODES = 8193
+
+# Gauss-Legendre rule for the per-cell overlap integrals.  At beta_cr the
+# zero-energy solution is node-free, so every cell spans less than half a
+# wavelength (k h < pi) and 16 nodes integrate u r and u^2 to round-off.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
 # ---------------------------------------------------------------------------
-# shooting: RK4 on u'' = 2 (lam - beta v) u over the support
+# exact cell-by-cell propagation
 
 
-def _shoot(
-    v: RadialPotential, beta: float, lam: float, n_steps: int = 2048, record: bool = False
-):
-    """Integrate u(0)=0, u'(0)=1 across [0, R]; returns (u(R), u'(R), scale[, path])."""
-    R = v.r_support
-    h = R / n_steps
-    rs = np.linspace(0.0, R, n_steps + 1)
-    q_node = 2.0 * (lam - beta * v(rs))
-    q_mid = 2.0 * (lam - beta * v(rs[:-1] + 0.5 * h))
-    u, du = 0.0, 1.0
-    scale = 1.0
-    path = np.empty(n_steps + 1) if record else None
-    if record:
-        path[0] = 0.0
-    for k in range(n_steps):
-        q0, qm, q1 = q_node[k], q_mid[k], q_node[k + 1]
-        k1u = du
-        k1d = q0 * u
-        k2u = du + 0.5 * h * k1d
-        k2d = qm * (u + 0.5 * h * k1u)
-        k3u = du + 0.5 * h * k2d
-        k3d = qm * (u + 0.5 * h * k2u)
-        k4u = du + h * k3d
-        k4d = q1 * (u + h * k3u)
-        u += (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        du += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        scale = max(scale, abs(u), abs(du))
-        if record:
-            path[k + 1] = u
-    if record:
-        return u, du, scale, path
-    return u, du, scale
+def _sweep(v: RadialPotential, beta: float, lam: float):
+    """Propagate u(0) = 0, u'(0) = 1 across the cells of v exactly.
+
+    Returns (states, zeros): states[i] = (u, u', log_norm) at edge i, where
+    the true (u, u') is (u, u') * exp(log_norm) -- each state is rescaled to
+    unit length before the next cell, so cosh growth cannot overflow -- and
+    zeros counts the zeros of u in (0, R].
+    """
+    u, du, log_norm, zeros = 0.0, 1.0, 0.0, 0
+    states = [(u, du, log_norm)]
+    for h, val in zip(np.diff(v.grid).tolist(), v.values.tolist()):
+        q = 2.0 * (lam - beta * val)
+        k = math.sqrt(abs(q))
+        if q < 0.0:
+            # u = rho sin(phi + k s) has a zero in every half-period pi/k
+            half_periods = math.floor(k * h / math.pi)
+            c, s = math.cos(k * h), math.sin(k * h)
+            u_new, du = c * u + (s / k) * du, -k * s * u + c * du
+        else:
+            # cosh/sinh (or linear) cell divided through by cosh(k h) > 0
+            half_periods = 0
+            th = math.tanh(k * h) / k if k > 0.0 else h
+            u_new, du = u + th * du, q * th * u + du
+            log_norm += k * h + math.log1p(math.exp(-2.0 * k * h)) - math.log(2.0)
+        # past the whole half-periods at most one zero is left, and a sign
+        # test finds it even where k u << u' leaves no resolvable phase
+        u_turned = -u if half_periods % 2 else u
+        zeros += half_periods + (u_turned * u_new < 0.0 or u_new == 0.0)
+        u = u_new
+        norm = math.hypot(u, du)
+        u, du, log_norm = u / norm, du / norm, log_norm + math.log(norm)
+        states.append((u, du, log_norm))
+    return states, zeros
 
 
-def critical_beta(v: RadialPotential, n_steps: int = 8192) -> float:
+def _phase(v: RadialPotential, beta: float, lam: float) -> float:
+    """Pruefer angle theta(R) of the regular solution at energy lam."""
+    states, zeros = _sweep(v, beta, lam)
+    u, du, _ = states[-1]
+    return zeros * math.pi + math.atan2(u, du) % math.pi
+
+
+def _ground_state_gap(v: RadialPotential, beta: float, kappa: float) -> float:
+    """theta(R) minus its ground-state value pi/2 + arctan(kappa), lam = kappa^2/2."""
+    return _phase(v, beta, 0.5 * kappa * kappa) - 0.5 * math.pi - math.atan(kappa)
+
+
+def critical_beta(v: RadialPotential) -> float:
     """Smallest coupling at which the well supports a zero-energy resonance.
 
-    The resonance condition is u'(R) = 0 for the zero-energy solution: the
-    interior solution then matches a constant exterior u, i.e. psi ~ 1/r.
-    The bracket walks up from zero in small multiples of the well's natural
-    scale so the first sign change (the ground-state criticality, not an
-    excited one) is the root found.
+    The resonance condition is u'(R) = 0 for the node-free zero-energy
+    solution: the interior solution then matches a constant exterior u,
+    i.e. psi ~ 1/r.  In Pruefer form that is theta(R) = pi/2, which holds
+    for exactly one coupling since theta increases with beta.  The bracket
+    walks up from zero in small multiples of the well's natural scale.
     """
-    def slope(beta: float) -> float:
-        return _shoot(v, beta, 0.0, n_steps)[1]
+    def gap(beta: float) -> float:
+        return _phase(v, beta, 0.0) - 0.5 * math.pi
 
     # natural scale: an indicator well of this height and width is critical
     # near (pi^2/8)/(v_max R^2)
     scale = (math.pi**2 / 8.0) / (v.v_max * v.r_support**2)
-    lo, s_lo = 0.0, 1.0
+    lo = 0.0
     hi = 0.5 * scale
     for _ in range(200):
-        s_hi = slope(hi)
-        if s_hi < 0.0:
+        if gap(hi) > 0.0:
             break
-        lo, s_lo = hi, s_hi
+        lo = hi
         hi *= 1.5
     else:
         raise BracketError("no sign change of u'(R) found; is the potential attractive?")
-    root = brentq(slope, lo if lo > 0.0 else 1e-12 * hi, hi, xtol=1e-14, rtol=8.9e-16)
+    root = brentq(gap, lo if lo > 0.0 else 1e-12 * hi, hi, xtol=1e-14, rtol=8.9e-16)
     return float(root)
 
 
@@ -167,120 +192,59 @@ class PsiFunction:
         return float(self.values[0])
 
 
-def ground_state_psi(
-    v: RadialPotential, beta_cr: float | None = None, n_steps: int = 8192
-) -> PsiFunction:
+def _resonance(v: RadialPotential, beta_cr: float):
+    """Exact zero-energy solution at beta_cr as (w, psi), w = u/u(R).
+
+    w evaluates anywhere in [0, R]; psi tabulates w/r on _PSI_NODES equally
+    spaced nodes.
+    """
+    states, _ = _sweep(v, beta_cr, 0.0)
+    u_e, du_e, log_norm = np.array(states).T
+    if not u_e[-1] > 0.0:
+        raise BracketError("zero-energy profile lost positivity; beta_cr is off")
+    amp = np.exp(log_norm - log_norm[-1]) / u_e[-1]
+    last = v.values.size - 1
+
+    def w(r: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(v.grid, r, side="right") - 1, 0, last)
+        k = np.sqrt(2.0 * beta_cr * v.values[i])
+        s = r - v.grid[i]
+        # sin(k s)/k written as s sinc(k s / pi) so empty cells come out linear
+        return amp[i] * (u_e[i] * np.cos(k * s) + du_e[i] * s * np.sinc(k * s / np.pi))
+
+    R = v.r_support
+    rs = np.linspace(0.0, R, _PSI_NODES)
+    psi = np.empty_like(rs)
+    psi[1:] = w(rs[1:]) / rs[1:]
+    psi[0] = amp[0]  # the r -> 0 limit u'(0)/u(R), with u'(0) = 1
+    return w, PsiFunction(grid=rs, values=psi, r_support=R)
+
+
+def ground_state_psi(v: RadialPotential, beta_cr: float | None = None) -> PsiFunction:
     """Resonance profile psi = u/r at the critical coupling, with psi ~ 1/r outside."""
     if beta_cr is None:
         beta_cr = critical_beta(v)
-    R = v.r_support
-    u_R, _, _, path = _shoot(v, beta_cr, 0.0, n_steps, record=True)
-    if not u_R > 0.0:
-        raise BracketError("zero-energy profile lost positivity; beta_cr is off")
-    rs = np.linspace(0.0, R, n_steps + 1)
-    psi = np.empty_like(path)
-    psi[1:] = path[1:] / (rs[1:] * u_R)
-    psi[0] = 1.0 / u_R  # u'(0)/u(R): the r -> 0 limit of u/(r u(R))
-    return PsiFunction(grid=rs, values=psi, r_support=R)
-
-
-# ---------------------------------------------------------------------------
-# graded-mesh finite differences for bound states
-
-
-def _quantized_box(x: float) -> float:
-    return 4.0 * 2.0 ** math.ceil(math.log2(max(x, 4.0) / 4.0))
-
-
-def _quantized_step(x: float) -> float:
-    return 2.0 ** math.floor(math.log2(min(x, 0.25)))
-
-
-def _graded_nodes(R: float, h_out: float, L: float) -> np.ndarray:
-    """Interior mesh nodes: uniform over the well, geometric growth outside."""
-    h_in = min(R / 1024.0, h_out)
-    fine_end = R + 0.25 * max(R, 1.0)
-    nodes = list(np.arange(h_in, fine_end, h_in))
-    h = h_in
-    r = nodes[-1]
-    while r < L - h_out:
-        h = min(h * 1.06, h_out)
-        r += h
-        nodes.append(r)
-    return np.asarray(nodes)
-
-
-def _fd_top_eigenvalue(v: RadialPotential, beta: float, nodes: np.ndarray, L: float) -> float:
-    """Largest eigenvalue of the symmetrized FD operator with Dirichlet walls."""
-    r = nodes
-    h = np.diff(np.concatenate(([0.0], r, [L])))  # h[i] = spacing left of node i+1
-    hl, hr = h[:-1], h[1:]
-    c = 0.5 * (hl + hr)
-    # dual-cell averages keep the well edge second-order accurate
-    dual_edges = np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [min(L, r[-1] + 0.5 * hr[-1])]))
-    v_cell = v.cell_averages(dual_edges)
-    diag = (-(0.5 / hl + 0.5 / hr) + c * beta * v_cell) / c
-    off = (0.5 / hr[:-1]) / np.sqrt(c[:-1] * c[1:])
-    n = r.size
-    top = eigh_tridiagonal(
-        diag, off, select="i", select_range=(n - 1, n - 1), eigvals_only=True
-    )
-    return float(top[0])
-
-
-def _mesh_for_kappa(v: RadialPotential, kappa: float) -> tuple[np.ndarray, float]:
-    R = v.r_support
-    h_out = _quantized_step(1.0 / (256.0 * kappa))
-    L = _quantized_box(max(4.0, 4.0 * R, 12.0 / kappa))
-    return _graded_nodes(R, h_out, L), L
-
-
-_SIGN_TOL = 1e-9
-_CERTIFY_TOL = 1e-8
-
-# Boxes past this hold nothing resolvable: a state that needs more room has
-# kappa < 12/L_MAX, i.e. an eigenvalue under _CERTIFY_TOL.
-_L_MAX = 65536.0
+    return _resonance(v, beta_cr)[1]
 
 
 def principal_eigenvalue(v: RadialPotential, beta: float) -> float | None:
     """Principal eigenvalue of (1/2) Laplacian + beta v, or None when absent.
 
-    Presence is certified by the sign of the zero-energy slope u'(R): a
-    negative slope means the interior solution already bends down at the
-    support edge, so a bound state exists.  The eigenvalue is then resolved
-    on meshes sized from its own decay length, iterating until the mesh
-    is a fixed point of that sizing.  A certified bound state the solver
-    cannot pin down raises IndeterminateEigenvalueError.
+    A bound state exists iff the zero-energy solution has a zero in (0, R)
+    or ends with u'(R) < 0 (Sturm oscillation: theta(R) > pi/2 at lam = 0).
+    The ground state is then the node-free root of u'(R) + kappa u(R) = 0,
+    kappa = sqrt(2 lam), solved in kappa on [0, sqrt(2 beta v_max)]: above
+    lam = beta v_max the solution is convex and increasing, so no bound
+    state lies there, and the Pruefer form of the condition has exactly one
+    root in that range.
     """
-    _, slope, scale = _shoot(v, beta, 0.0)
-    if slope >= -_SIGN_TOL * scale:
+    if not _ground_state_gap(v, beta, 0.0) > 0.0:
         return None
-
-    lam = None
-    nodes, L = _mesh_for_kappa(v, kappa=1.0)  # opening rung: small box
-    for _ in range(10):
-        cand = _fd_top_eigenvalue(v, beta, nodes, L)
-        if cand <= _CERTIFY_TOL:
-            # certified state too shallow for this box: quadruple it
-            bigger = _quantized_box(4.0 * L)
-            if bigger == L or bigger > _L_MAX:
-                break
-            nodes_new, L_new = _graded_nodes(v.r_support, _quantized_step(0.25), bigger), bigger
-            nodes, L = nodes_new, L_new
-            continue
-        kappa = math.sqrt(2.0 * cand)
-        nodes_new, L_new = _mesh_for_kappa(v, kappa)
-        if L_new == L and np.array_equal(nodes_new, nodes):
-            lam = cand
-            break
-        nodes, L = nodes_new, L_new
-    if lam is None:
-        raise IndeterminateEigenvalueError(
-            f"bound state certified by shooting (slope {slope:.3e}) but not resolved; "
-            f"last box L={L}"
-        )
-    return lam
+    kappa_max = math.sqrt(2.0 * beta * v.v_max)
+    kappa = brentq(
+        lambda k: _ground_state_gap(v, beta, k), 0.0, kappa_max, xtol=1e-300, rtol=8.9e-16
+    )
+    return 0.5 * kappa * kappa
 
 
 def beta0_of_lambda(
@@ -288,22 +252,22 @@ def beta0_of_lambda(
 ) -> float:
     """Coupling beta_0(lam) at which the principal eigenvalue equals lam.
 
-    The mesh is fixed from the target eigenvalue's decay length, so the
-    returned coupling is exactly consistent with principal_eigenvalue on
-    that mesh (round-trip agreement to solver tolerance).
+    Solves the ground-state condition u'(R) + sqrt(2 lam) u(R) = 0 of
+    principal_eigenvalue in beta instead of lam, so the two round-trip to
+    root-finding tolerance.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
     if beta_cr is None:
         beta_cr = critical_beta(v)
-    nodes, L = _mesh_for_kappa(v, math.sqrt(2.0 * lam))
+    kappa = math.sqrt(2.0 * lam)
 
     def gap(beta: float) -> float:
-        return _fd_top_eigenvalue(v, beta, nodes, L) - lam
+        return _ground_state_gap(v, beta, kappa)
 
     lo = beta_cr
     if gap(lo) >= 0.0:
-        raise BracketError("discrete eigenvalue already above target at beta_cr")
+        raise BracketError("eigenvalue already above target at beta_cr")
     step = 0.1 * beta_cr
     hi = lo + step
     for _ in range(80):
@@ -371,20 +335,6 @@ def gamma1_via_expansion(
 # the summary bridge: from a potential to the window constants
 
 
-def _integral_against_cells(v: RadialPotential, grid: np.ndarray, w: np.ndarray) -> float:
-    """4 pi int v(r) w(r) r^2 dr, exact per potential cell given tabulated w."""
-    f = w * grid * grid
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))))
-
-    def P(r: float) -> float:
-        return float(np.interp(r, grid, cum))
-
-    total = 0.0
-    for a, b, val in zip(v.grid[:-1], v.grid[1:], v.values):
-        total += val * (P(min(b, grid[-1])) - P(min(a, grid[-1])))
-    return 4.0 * math.pi * total
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Window constants of a potential: the bridge from v to gamma(chi)."""
@@ -405,26 +355,6 @@ class SpectralSummary:
             "psi": [[float(r), float(val)] for r, val in zip(self.psi.grid, self.psi.values)],
         }
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "SpectralSummary":
-        with open(path) as fh:
-            d = json.load(fh)
-        pairs = np.asarray(d["psi"], dtype=float)
-        psi = PsiFunction(
-            grid=pairs[:, 0], values=pairs[:, 1], r_support=float(d["psi_r_support"])
-        )
-        return cls(
-            beta_cr=float(d["beta_cr"]),
-            psi=psi,
-            gamma1=float(d["gamma1"]),
-            kappa=float(d["kappa"]),
-            c=float(d["c"]),
-        )
-
 
 def compute_summary(v: RadialPotential) -> SpectralSummary:
     """Critical coupling, resonance profile, and window constants for v.
@@ -432,13 +362,19 @@ def compute_summary(v: RadialPotential) -> SpectralSummary:
     gamma1 is the overlap-integral form (int v psi)^2 / (sqrt(2) pi int v psi^2)
     and kappa = 1/(beta_cr int v psi); with psi's exterior coefficient fixed
     to 1 the product beta_cr int v psi equals 2 pi identically (divergence
-    theorem on the zero-energy equation), so kappa ~ 1/(2 pi) holds up to
-    quadrature error regardless of the potential.
+    theorem on the zero-energy equation), so kappa = 1/(2 pi) for every
+    potential.  Both integrals are taken cell by cell on the exact solution
+    (psi r^2 = r u/u(R), psi^2 r^2 = (u/u(R))^2), so the identity holds to
+    round-off.
     """
     beta_cr = critical_beta(v)
-    psi = ground_state_psi(v, beta_cr=beta_cr)
-    i_vpsi = _integral_against_cells(v, psi.grid, psi.values)
-    i_vpsi2 = _integral_against_cells(v, psi.grid, psi.values**2)
+    w, psi = _resonance(v, beta_cr)
+    a, h = v.grid[:-1, None], np.diff(v.grid)[:, None]
+    x = a + 0.5 * h * (_GL_X + 1.0)  # (cells, nodes), strictly inside each cell
+    wx = w(x)
+    weights = 0.5 * h * _GL_W * v.values[:, None]
+    i_vpsi = 4.0 * math.pi * float(np.sum(weights * wx * x))
+    i_vpsi2 = 4.0 * math.pi * float(np.sum(weights * wx * wx))
     gamma1 = float(i_vpsi**2 / (math.sqrt(2.0) * math.pi * i_vpsi2))
     kappa = float(1.0 / (beta_cr * i_vpsi))
     c = math.sqrt(2.0) / (beta_cr**2 * gamma1)
@@ -457,15 +393,23 @@ def alpha_of_f(
 ) -> float:
     """kappa * 4 pi int_0^{r_max} psi(r) f(r) r^2 dr.
 
-    With f = v this is 1/beta_cr by the definition of kappa (a quadrature
-    identity the tests pin down).  r_max defaults to the resonance support.
+    With f = v this is 1/beta_cr by the definition of kappa, up to the
+    interpolation error of psi's table.  r_max defaults to the resonance
+    support.
     """
     psi = summary.psi
     if r_max is None:
         r_max = psi.r_support
     if isinstance(f, RadialPotential) and r_max >= psi.r_support:
-        # reuse the cell-exact rule so the kappa identity is exact
-        return summary.kappa * _integral_against_cells(f, psi.grid, psi.values)
+        # between the table nodes and f's edges f is constant and psi linear
+        # (1/r past the support), so psi f r^2 is at most cubic and two
+        # Gauss-Legendre nodes per piece integrate it exactly
+        upper = max(psi.r_support, min(r_max, f.r_support))
+        edges = np.union1d(psi.grid, np.append(f.grid[f.grid < upper], upper))
+        a, h = edges[:-1, None], np.diff(edges)[:, None]
+        x = a + 0.5 * h * (1.0 + np.array([-1.0, 1.0]) / math.sqrt(3.0))
+        total = float(np.sum(0.5 * h * f(x) * psi(x) * x * x))
+        return summary.kappa * 4.0 * math.pi * total
     grid = np.linspace(0.0, r_max, 8192)
     vals = np.asarray(f(grid), dtype=float) * psi(grid) * grid * grid
     return summary.kappa * 4.0 * math.pi * float(np.trapezoid(vals, grid))

@@ -43,8 +43,8 @@ class TestKernelCommand:
         cfg = manifest["config"]
         # every knob is materialized, including untouched defaults
         for key in ("command", "potential", "chi", "gamma", "T_list", "times",
-                    "t", "rho", "n_paths", "dt", "seed", "out_dir", "threads",
-                    "nodes", "fmt", "steps"):
+                    "t", "rho", "n_paths", "dt", "seed", "out_dir", "nodes",
+                    "fmt", "steps"):
             assert key in cfg, key
         assert cfg["n_paths"] == 50000
         assert cfg["seed"] == 0

@@ -272,6 +272,16 @@ class TestTheorem2Verdicts:
         assert rep.passed is None
         assert rep.ess[25.0] < 0.01 * 2000
 
+    def test_predicted_collapse_is_inconclusive(self, ball, ball_summary):
+        # at chi = 0 and T = 25 the weights' second moment grows like
+        # e^{lam(2) 25} ~ e^11, far past 1/ESS floor; this seed's realized
+        # ESS stays above the floor, so only the prediction catches it
+        rep = verify_theorem2(
+            ball, 0.0, (9.0, 25.0), (0.5, 1.0), n=8000, seed=0, summary=ball_summary
+        )
+        assert rep.inconclusive
+        assert rep.passed is None
+
     def test_verdict_serialization(self, tmp_path):
         rep = Theorem2Report(
             params={"chi": 0.0},

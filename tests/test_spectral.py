@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from polymer_lab.potentials import scaled_ball_potential, unit_ball_potential
+from polymer_lab.potentials import RadialPotential, scaled_ball_potential, unit_ball_potential
 from polymer_lab.spectral import (
     FitQualityError,
     SpectralSummary,
@@ -26,7 +28,9 @@ def ball_lambda(beta: float) -> float:
     """Transcendental bound-state eigenvalue for the (pi^2/8) 1_{r<=1} well.
 
     Inside u = sin(kr) with k^2 = 2(beta pi^2/8 - lam), outside u ~ e^{-kap r}
-    with kap = sqrt(2 lam); matching u'/u at r = 1 gives k cot k = -kap.
+    with kap = sqrt(2 lam); matching u'/u at r = 1 gives k cot k = -kap.  The
+    ground state is the node-free root, k in (pi/2, pi); the bracket stays on
+    that branch so excited states (k past pi) are never returned.
     """
     w2 = 2.0 * beta * math.pi**2 / 8.0
 
@@ -34,7 +38,9 @@ def ball_lambda(beta: float) -> float:
         k = math.sqrt(w2 - 2.0 * lam)
         return k / math.tan(k) + math.sqrt(2.0 * lam)
 
-    return brentq(match, 1e-300, w2 / 2.0 - 1e-12, xtol=1e-15, rtol=1e-15)
+    lo = max(1e-300, 0.5 * (w2 - math.pi**2) + 1e-12 * w2)  # k just under pi
+    hi = 0.5 * (w2 - 0.25 * math.pi**2)  # k = pi/2
+    return brentq(match, lo, hi, xtol=1e-15, rtol=1e-15)
 
 
 class TestCriticalBeta:
@@ -51,7 +57,9 @@ class TestCriticalBeta:
 
 class TestPrincipalEigenvalue:
     def test_matches_transcendental_oracle(self, ball):
-        for beta in (1.05, 1.2, 1.5):
+        # 1 + 1e-4 sits just past criticality (lam ~ 7.6e-9); 9.5 and 12 lie
+        # past the second zero-energy resonance at beta = 9
+        for beta in (1.0 + 1e-4, 1.05, 1.2, 1.5, 9.5, 12.0):
             assert principal_eigenvalue(ball, beta) == pytest.approx(
                 ball_lambda(beta), rel=1e-5
             )
@@ -135,7 +143,56 @@ class TestExpansionFit:
             gamma1_via_expansion(ball, lambdas=[1e-3, 1e-2])
 
 
+def _check_exact_constants(v: RadialPotential, eps: float) -> None:
+    # beta_cr int v psi = 2 pi by the divergence theorem, for every well
+    summary = compute_summary(v)
+    assert abs(2.0 * math.pi * summary.kappa - 1.0) < 1e-10
+    # v_eps(r) = v(r/eps)/eps^2 leaves the zero-energy problem unchanged
+    scaled = RadialPotential(grid=v.grid * eps, values=v.values / eps**2)
+    assert critical_beta(scaled) == pytest.approx(summary.beta_cr, rel=1e-12)
+
+
+class TestExactCellSolution:
+    @given(
+        cells=st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m),
+                st.floats(0.01, 3.0),
+                st.lists(st.floats(0.0, 3.0), min_size=m - 1, max_size=m - 1),
+            )
+        ),
+        eps=st.floats(0.05, 20.0),
+    )
+    # a near-empty outer cell: the zero of u inside it must still be counted
+    @example(cells=([0.5, 1.0], 1.0, [3.63918857762309e-287]), eps=1.0)
+    def test_random_wells(self, cells, eps):
+        widths, first, rest = cells
+        v = RadialPotential(
+            grid=np.concatenate(([0.0], np.cumsum(widths))), values=np.array([first, *rest])
+        )
+        _check_exact_constants(v, eps)
+
+    def test_two_hundred_cells(self):
+        rng = np.random.default_rng(200)
+        widths = rng.uniform(0.1, 1.0, 200)
+        values = rng.uniform(0.0, 3.0, 200)
+        v = RadialPotential(grid=np.concatenate(([0.0], np.cumsum(widths))), values=values)
+        _check_exact_constants(v, 0.3)
+
+
 class TestAlphaOfF:
+    def test_potential_recovers_inverse_coupling(self, ball, ball_summary):
+        got = alpha_of_f(ball_summary, ball)
+        assert got == pytest.approx(1.0 / ball_summary.beta_cr, rel=1e-6)
+
+    def test_potential_wider_than_the_resonance(self, ball_summary):
+        # f = v0 on r <= 2 against psi = sin(pi r/2)/r inside 1, 1/r outside:
+        # 4 pi v0 (int_0^1 r sin(pi r/2) dr + int_1^2 r dr) = 4 pi v0 (4/pi^2 + 3/2)
+        f = scaled_ball_potential(2.0)
+        got = alpha_of_f(ball_summary, f, r_max=5.0)
+        want = ball_summary.kappa * 4.0 * math.pi * f.v_max * (4.0 / math.pi**2 + 1.5)
+        assert got == pytest.approx(want, rel=1e-6)
+
     def test_constant_profile_reduces_to_psi_mass(self, ball_summary):
         got = alpha_of_f(ball_summary, lambda r: np.ones_like(r), r_max=40.0)
         psi = ball_summary.psi
