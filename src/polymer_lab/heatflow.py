@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import laplace, zerorange
 from .potentials import RadialPotential, scaled_ball_potential
@@ -135,9 +135,8 @@ def _cn_run(
     t = t_start
     dt = cfg.dt0
     out: list[np.ndarray] = []
-    m = u.size
-    ab = np.empty((3, m))
-    rhs = np.empty(m)
+    rhs = np.empty(u.size)
+    lus: dict[float, tuple] = {}  # step -> LU of I - (step/2) A; the latest two
     for stop in stops:
         while t < stop - 1e-13 * max(1.0, stop):
             step = min(dt, stop - t)
@@ -146,14 +145,26 @@ def _cn_run(
             rhs[:-1] += half * off * u[1:]
             rhs[1:] += half * off * u[:-1]
             rhs[-1] += step * off * bc_right  # Dirichlet value, both time levels
-            ab[0, 1:] = -half * off
-            ab[1, :] = 1.0 - half * diag_a
-            ab[2, :-1] = -half * off
-            u = solve_banded((1, 1), ab, rhs, check_finite=False)
+            lu = lus.pop(step, None) or _factor(half * off, 1.0 - half * diag_a)
+            lus[step] = lu
+            if len(lus) > 2:
+                del lus[next(iter(lus))]
+            u, info = dgttrs(*lu, rhs)
+            if info != 0:
+                raise RuntimeError(f"LAPACK dgttrs failed with info={info}")
             t += step
             dt = min(dt * cfg.growth, cfg.dt_max)
         out.append(u.copy())
     return out
+
+
+def _factor(off: float | np.ndarray, diag: np.ndarray) -> tuple:
+    """LU of the tridiagonal matrix with diagonal diag and off-diagonals -off."""
+    sub = np.broadcast_to(-off, (diag.size - 1,)).astype(float)
+    *lu, info = dgttrf(sub, diag, sub)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dgttrf failed with info={info}")
+    return tuple(lu)
 
 
 def _origin_value(u: np.ndarray, h: float) -> float:
