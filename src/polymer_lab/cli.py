@@ -286,7 +286,8 @@ def _cmd_verify_theorem(cfg: RunConfig):
     paths = _write_report(cfg, "theorem2", report)
     lines = [f"T = {T!r}, t = {t!r}: KS {ks!r}" for T, t, ks in report.table]
     if report.inconclusive:
-        lines.append("INCONCLUSIVE: importance-sampling ESS collapsed")
+        lines.append("INCONCLUSIVE: " + "; ".join(
+            f"T = {T!r}: {why}" for T, why in report.inconclusive_reasons.items()))
         code = 3
     elif report.passed:
         lines.append("PASS: KS decreasing and below threshold at every t")

@@ -362,6 +362,9 @@ class Theorem2Report:
     passed: bool | None
     per_time: dict
     notes: str = _THRESHOLD_NOTE
+    # horizon -> "realized_ess" or "predicted_moment", for each horizon
+    # that made the verdict inconclusive
+    inconclusive_reasons: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,6 +372,7 @@ class Theorem2Report:
             "ess": {repr(k): v for k, v in self.ess.items()},
             "table": [[T, t, ks] for (T, t, ks) in self.table],
             "inconclusive": self.inconclusive,
+            "inconclusive_reasons": {repr(k): v for k, v in self.inconclusive_reasons.items()},
             "passed": self.passed,
             "per_time": {repr(k): v for k, v in self.per_time.items()},
             "notes": self.notes,
@@ -407,10 +411,11 @@ def verify_theorem2(
     radial law with model="wiener".  Passing means every t shows a KS
     decrease from the smallest to the largest horizon and the largest
     horizon lands under ks_threshold.  ESS collapse (ratio below 1%) on
-    any horizon makes the verdict inconclusive, and so does a predicted
-    collapse: a weight second moment more than 1/1% = 100 times the squared
-    mean, which a realized sample can hide by never drawing the dominant
-    paths.
+    any horizon makes the verdict inconclusive ("realized_ess"), and so does
+    a predicted collapse ("predicted_moment"): a weight second moment more
+    than 1/1% = 100 times the squared mean, which a realized sample can hide
+    by never drawing the dominant paths.  The report keeps the reason per
+    horizon.
     """
     if model not in ("limit", "wiener"):
         raise ValueError(f"model must be 'limit' or 'wiener', got {model!r}")
@@ -435,7 +440,7 @@ def verify_theorem2(
 
     rows = []
     ess = {}
-    inconclusive = False
+    reasons = {}
     for k, T in enumerate(T_list):
         beta = beta_override if beta_override is not None else summary.beta_cr + chi / math.sqrt(T)
         rec = sorted({round(t * T / dt) * dt for t in times})
@@ -446,13 +451,13 @@ def verify_theorem2(
             )
             ess[T] = e.ess
             if e.ess_ratio < _ESS_FLOOR:
-                inconclusive = True
+                reasons[T] = "realized_ess"
             r = rescale_ensemble(e)
             for t in times:
                 g = empirical_radial_marginal(r, round(t * T / dt) * dt / T)
                 rows.append((T, t, ks_distance(g, model_cdfs[t])))
-        if _weight_moment_exponent(v, beta, T) > -math.log(_ESS_FLOOR):
-            inconclusive = True
+        if T not in reasons and _weight_moment_exponent(v, beta, T) > -math.log(_ESS_FLOOR):
+            reasons[T] = "predicted_moment"
 
     per_time = {}
     ok = True
@@ -477,9 +482,10 @@ def verify_theorem2(
         },
         ess=ess,
         table=rows,
-        inconclusive=inconclusive,
-        passed=None if inconclusive else ok,
+        inconclusive=bool(reasons),
+        passed=None if reasons else ok,
         per_time=per_time,
+        inconclusive_reasons=reasons,
     )
 
 

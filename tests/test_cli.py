@@ -206,6 +206,17 @@ class TestVerifyCommands:
         assert payload["inconclusive"] is True
         assert payload["passed"] is None
 
+    def test_inconclusive_line_names_horizon_and_reason(self, tmp_path, capsys):
+        # the realized ESS ratio stays above 1% on both horizons here; only
+        # the predicted weight second moment at T = 25 rules the run out
+        code = main(["verify-theorem", "--chi", "0", "--T", "9,25", "--times", "0.5,1",
+                     "--n-paths", "8000", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 3
+        assert "INCONCLUSIVE: T = 25.0: predicted_moment" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "theorem2.json").read_text())
+        assert min(payload["ess"].values()) > 0.01 * 8000
+        assert payload["inconclusive_reasons"] == {"25.0": "predicted_moment"}
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

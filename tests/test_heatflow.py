@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from polymer_lab import heatflow
 from polymer_lab.heatflow import (
     ConvergenceTable,
     NonConvergedError,
@@ -61,6 +62,50 @@ class TestEvolution:
         cfg = StepperConfig(L=8.0, h=0.25, t0=0.01, dt0=0.25, growth=1.0, dt_max=0.25)
         with pytest.raises(NonConvergedError, match="halving dt"):
             evolve_point_source(ball, 4.0, [1.0], cfg=cfg, verify_dt=True)
+
+
+class TestGradedMesh:
+    """The T = 400 runs that verify_prop1 and verify_prop3 read far out."""
+
+    @pytest.fixture(scope="class")
+    def free_profile(self, ball):
+        return evolve_point_source(ball, 0.0, [400.0])[0]
+
+    def test_far_field_matches_heat_kernel(self, free_profile):
+        T = 400.0
+        r = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(T)
+        exact = np.exp(-r * r / (2.0 * T)) / (2.0 * math.pi * T) ** 1.5
+        assert np.max(np.abs(free_profile.interp(r) / exact - 1.0)) < 2e-4
+
+    def test_partition_stays_one_at_long_horizon(self, ball):
+        prof = evolve_partition(ball, 0.0, [400.0])[0]
+        assert np.max(np.abs(prof.values - 1.0)) < 1e-10
+
+    def test_grid_is_graded_with_uniform_start(self, ball, free_profile):
+        h = StepperConfig.auto_point_source(ball, 0.0, 400.0).h
+        grid = free_profile.grid
+        assert grid.size < 6000
+        np.testing.assert_allclose(grid[:3], [0.0, h, 2.0 * h], rtol=0, atol=1e-15)
+
+    def test_one_factorization_per_step_size(self, ball, monkeypatch):
+        calls = {"dgttrf": 0, "dgttrs": 0}
+
+        def counted(name):
+            original = getattr(heatflow, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(heatflow, name, counted(name))
+        stops = [100.0, 400.0]
+        cfg = StepperConfig.auto_point_source(ball, 1.0, stops[-1])
+        evolve_point_source(ball, 1.0, stops, cfg)
+        startup = math.ceil(math.log(cfg.dt_max / cfg.dt0) / math.log(cfg.growth))
+        assert calls["dgttrf"] <= startup + len(stops) + 1
+        assert calls["dgttrf"] < calls["dgttrs"] / 5
 
 
 class TestConfigValidation:

@@ -271,6 +271,7 @@ class TestTheorem2Verdicts:
         assert rep.inconclusive
         assert rep.passed is None
         assert rep.ess[25.0] < 0.01 * 2000
+        assert rep.inconclusive_reasons == {25.0: "realized_ess"}
 
     def test_predicted_collapse_is_inconclusive(self, ball, ball_summary):
         # at chi = 0 and T = 25 the weights' second moment grows like
@@ -281,6 +282,8 @@ class TestTheorem2Verdicts:
         )
         assert rep.inconclusive
         assert rep.passed is None
+        assert min(rep.ess.values()) > 0.01 * 8000
+        assert rep.inconclusive_reasons == {25.0: "predicted_moment"}
 
     def test_verdict_serialization(self, tmp_path):
         rep = Theorem2Report(
