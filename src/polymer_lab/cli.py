@@ -14,7 +14,6 @@ Numeric output is written with repr(), i.e. shortest round-trip decimal.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -247,11 +246,11 @@ def _cmd_sample(cfg: RunConfig):
     paths = zerorange.sample_paths(params, cfg.steps, cfg.n_paths, cfg.seed)
     out = os.path.join(cfg.out_dir, "paths.csv")
     times = np.arange(cfg.steps + 1) / cfg.steps
+    # the csv module's dialect, written directly: repr never needs quoting
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path"] + [repr(float(t)) for t in times])
+        fh.write(",".join(["path"] + [repr(float(t)) for t in times]) + "\r\n")
         for i, row in enumerate(paths):
-            writer.writerow([i] + [repr(float(r)) for r in row])
+            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\r\n")
     return 0, [out], [f"sampled {cfg.n_paths} paths of {cfg.steps} steps"]
 
 
@@ -278,6 +277,11 @@ def _cmd_verify_poten(cfg: RunConfig):
     return (0 if ok else 2), [path], lines
 
 
+def _inconclusive_line(report) -> str:
+    return "INCONCLUSIVE: " + "; ".join(
+        f"T = {T!r}: {why}" for T, why in report.inconclusive_reasons.items())
+
+
 def _cmd_verify_theorem(cfg: RunConfig):
     v = load_potential(cfg.potential)
     report = montecarlo.verify_theorem2(
@@ -286,8 +290,7 @@ def _cmd_verify_theorem(cfg: RunConfig):
     paths = _write_report(cfg, "theorem2", report)
     lines = [f"T = {T!r}, t = {t!r}: KS {ks!r}" for T, t, ks in report.table]
     if report.inconclusive:
-        lines.append("INCONCLUSIVE: " + "; ".join(
-            f"T = {T!r}: {why}" for T, why in report.inconclusive_reasons.items()))
+        lines.append(_inconclusive_line(report))
         code = 3
     elif report.passed:
         lines.append("PASS: KS decreasing and below threshold at every t")
@@ -311,7 +314,7 @@ def _cmd_verify_prop2(cfg: RunConfig):
         for T, est, ref, gap, se in report.rows
     ]
     if report.inconclusive:
-        lines.append("INCONCLUSIVE: MC standard error exceeds the gap under test")
+        lines.append(_inconclusive_line(report))
         code = 3
     elif report.gaps_decreasing:
         lines.append("PASS: relative gaps decreasing in T")

@@ -295,11 +295,12 @@ def duality_gap(
     """Relative gap between 4 pi int p(t,0,r) r^2 dr and Z(t, 0).
 
     Both sides equal the expected Gibbs weight from the origin, computed
-    by two unrelated runs; the gap is a discretization health check.
+    by two unrelated runs; the gap is a discretization health check.  A
+    given cfg drives both runs; by default each picks its own.
     """
     [w] = evolve_point_source(v, beta, [t], cfg)
     mass = 4.0 * math.pi * float(np.trapezoid(w.values * w.grid**2, w.grid))
-    [z] = evolve_partition(v, beta, [t])
+    [z] = evolve_partition(v, beta, [t], cfg)
     z0 = z.values[0]
     return abs(mass - z0) / abs(z0)
 

@@ -498,6 +498,9 @@ class Prop2Report:
     gaps_decreasing: bool
     inconclusive: bool
     notes: str = _THRESHOLD_NOTE
+    # horizon -> "standard_error", "realized_ess" or "predicted_moment", for
+    # each horizon that made the verdict inconclusive
+    inconclusive_reasons: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,6 +508,7 @@ class Prop2Report:
             "rows": [list(r) for r in self.rows],
             "gaps_decreasing": self.gaps_decreasing,
             "inconclusive": self.inconclusive,
+            "inconclusive_reasons": {repr(k): v for k, v in self.inconclusive_reasons.items()},
             "notes": self.notes,
         }
 
@@ -543,8 +547,10 @@ def verify_prop2(
     diffusively rescaled endpoint, so a single callable serves the whole T
     sweep (y0 is likewise the rescaled start).  Relative gaps should shrink
     as T grows; a Monte Carlo standard error larger than the gap it is
-    supposed to resolve marks the report inconclusive, as does a weight
-    second moment too heavy for n paths to resolve even in principle.
+    supposed to resolve marks the report inconclusive ("standard_error"), as
+    does an ESS collapse ("realized_ess") or a weight second moment too heavy
+    for n paths to resolve even in principle ("predicted_moment").  The
+    report keeps the first of these reasons per horizon.
     """
     T_list = [float(T) for T in T_list]
     if not T_list or sorted(T_list) != T_list:
@@ -559,7 +565,7 @@ def verify_prop2(
     gamma = spectral.gamma_of_chi(summary, chi)
 
     rows = []
-    inconclusive = False
+    reasons = {}
     for k, T in enumerate(T_list):
         beta = summary.beta_cr + chi / math.sqrt(T)
         y = math.sqrt(T) * y0
@@ -590,10 +596,12 @@ def verify_prop2(
         # once the weights' second moment exceeds n^2 times the squared
         # mean, n paths cannot resolve the mean no matter what the realized
         # sample claims, so the row is inconclusive by analysis
-        if se > abs(est - ref) or e.ess_warning:
-            inconclusive = True
-        if _weight_moment_exponent(v, beta, tau) > 2.0 * math.log(n):
-            inconclusive = True
+        if se > abs(est - ref):
+            reasons[T] = "standard_error"
+        elif e.ess_warning:
+            reasons[T] = "realized_ess"
+        elif _weight_moment_exponent(v, beta, tau) > 2.0 * math.log(n):
+            reasons[T] = "predicted_moment"
 
     gaps = [r[3] for r in rows]
     return Prop2Report(
@@ -609,7 +617,8 @@ def verify_prop2(
         },
         rows=rows,
         gaps_decreasing=gaps[-1] < gaps[0],
-        inconclusive=inconclusive,
+        inconclusive=bool(reasons),
+        inconclusive_reasons=reasons,
     )
 
 

@@ -8,7 +8,7 @@ the origin) and the partition correction J (its integral in time).  This
 module exposes the transition density ``pbar``, the partition factor
 ``zbar``, finite-dimensional densities of the pinned measure, the
 origin-started transition kernel, radial marginals, and an inverse-CDF
-path sampler built on per-step transition tables.
+path sampler whose one-step kernel is tabulated once, whatever the step count.
 
 Point-level operations (`pbar`, `zbar`, and everything composed from them)
 go through the Bromwich quadrature in :mod:`.laplace`; grid-level machinery
@@ -269,28 +269,24 @@ def pbar_sphere_mean(p: ZeroRangeParams, t, r_from, r_to):
 #
 # The bridge radius is Markov, so a path is a chain of one-dimensional
 # inverse-CDF draws: the first step from the radial marginal at t_1, each
-# later step from the radial transition row anchored at the current radius.
-# Rows are tabulated once per (params, n_steps) on a fixed radial grid and
-# shared by every path; y-anchoring interpolates quantiles linearly between
-# the two bracketing rows.
+# later step from the radial transition row anchored at the current radius;
+# y-anchoring interpolates quantiles linearly between the two bracketing
+# rows.  The sphere-mean kernel of one step does not depend on the step, so
+# it is tabulated once per (params, n_steps) on fixed grids: 256 anchors by
+# 2047 radii, about 4 MB whatever n_steps is.  Step k only weights it by the
+# partition factor of the horizon left; the walk builds those rows for the
+# anchors its paths occupy, certifies them, draws and drops them.
 
 
+@dataclass(frozen=True, eq=False)
 class _ChainTables:
-    def __init__(
-        self,
-        x_grid: np.ndarray,
-        y_grid: np.ndarray,
-        first_cdf: np.ndarray,
-        step_cdfs: np.ndarray,
-        row_ok: np.ndarray,
-        n_steps: int,
-    ) -> None:
-        self.x_grid = x_grid
-        self.y_grid = y_grid
-        self.first_cdf = first_cdf
-        self.step_cdfs = step_cdfs  # (n_steps - 1, ny, nx), normalized rows
-        self.row_ok = row_ok  # (n_steps - 1, ny) tail-coverage flags
-        self.n_steps = n_steps
+    gamma: float
+    n_steps: int
+    x_grid: np.ndarray
+    y_grid: np.ndarray
+    first_cdf: np.ndarray
+    kern: np.ndarray  # (ny, nx - 1): 4 pi x^2 pbar_sphere_mean(dt, y, x), x > 0
+    col0: np.ndarray  # (ny,): 2 I(gamma, y, dt); times J(0, tail) / y at x = 0
 
 
 def _row_cdf(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -321,47 +317,54 @@ def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
             f"time-{dt:g} marginal; enlarge the grid"
         )
     first_cdf = _row_cdf(x, marg.values[None, :])[0]
-
-    step_cdfs = np.empty((n_steps - 1, y.size, x.size))
-    row_ok = np.empty((n_steps - 1, y.size), dtype=bool)
     body = x[1:]
-    for k in range(2, n_steps + 1):
-        tail = (n_steps - k) * dt
-        mean = pbar_sphere_mean(p, dt, y[:, None], body[None, :])
-        # x = 0 column: x^2 * [I/(2 pi x y)] * [J(x, tail)/x] survives the
-        # limit, everything else dies; zero only on the final step
-        if tail > 0.0:
-            col0 = (
-                2.0
-                * kernel_closed_form(p.gamma, y, dt)
-                * float(zbar_correction(p.gamma, 0.0, tail))
-                / y
-            )
-        else:
-            col0 = np.zeros(y.size)
-        rows = np.concatenate(
-            [
-                col0[:, None],
-                4.0
-                * math.pi
-                * body[None, :] ** 2
-                * mean
-                * _zbar_closed(p.gamma, body, tail)[None, :],
-            ],
-            axis=1,
-        )
-        # row mass should match the partition factor still ahead of the anchor
-        expected = _zbar_closed(p.gamma, y, tail + dt)
-        mass = simpson(rows, x=x, axis=1)
-        row_ok[k - 2] = mass >= (1.0 - _TAIL_DEFICIT) * expected
-        step_cdfs[k - 2] = _row_cdf(x, rows)
-    return _ChainTables(x, y, first_cdf, step_cdfs, row_ok, n_steps)
+    mean = pbar_sphere_mean(p, dt, y[:, None], body[None, :])
+    kern = 4.0 * math.pi * body[None, :] ** 2 * mean
+    col0 = 2.0 * kernel_closed_form(p.gamma, y, dt)
+    return _ChainTables(p.gamma, n_steps, x, y, first_cdf, kern, col0)
 
 
-def _inverse_cdf(xs: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, xs.size - 1)
-    c0 = cdf[idx - 1]
-    span = np.maximum(cdf[idx] - c0, 1e-300)
+def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray):
+    """Unnormalized rows of step k (2 <= k <= n_steps) from the given anchors.
+
+    Also returns, per row, whether the grid holds all but _TAIL_DEFICIT of
+    the partition factor still ahead of the anchor.
+    """
+    x, y = tab.x_grid, tab.y_grid
+    dt = 1.0 / tab.n_steps
+    tail = (tab.n_steps - k) * dt
+    # x = 0 column: x^2 * [I/(2 pi x y)] * [J(x, tail)/x] survives the
+    # limit, everything else dies; zero only on the final step
+    if tail > 0.0:
+        zc = float(zbar_correction(tab.gamma, 0.0, tail))
+        col0 = tab.col0[anchors] * zc / y[anchors]
+    else:
+        col0 = np.zeros(anchors.size)
+    weight = _zbar_closed(tab.gamma, x[1:], tail)[None, :]
+    rows = np.concatenate([col0[:, None], tab.kern[anchors] * weight], axis=1)
+    # row mass should match the partition factor still ahead of the anchor
+    expected = _zbar_closed(tab.gamma, y, tail + dt)[anchors]
+    return rows, simpson(rows, x=x, axis=1) >= (1.0 - _TAIL_DEFICIT) * expected
+
+
+def _inverse_cdf(
+    xs: np.ndarray, cdfs: np.ndarray, row: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    # quantile u[i] of CDF row cdfs[row[i]], all i at once.  Binary lifting
+    # finds idx = the count of entries below u[i], which on a sorted row is
+    # np.searchsorted(cdfs[row[i]], u[i], side="left")
+    n = xs.size
+    flat = cdfs.ravel()
+    base = row * n
+    idx = np.zeros(u.size, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        cand = np.minimum(idx + step, n)
+        idx = np.where(flat[base + cand - 1] < u, cand, idx)
+        step >>= 1
+    idx = np.clip(idx, 1, n - 1)
+    c0 = flat[base + idx - 1]
+    span = np.maximum(flat[base + idx] - c0, 1e-300)
     w = np.clip((u - c0) / span, 0.0, 1.0)
     return xs[idx - 1] + w * (xs[idx] - xs[idx - 1])
 
@@ -370,7 +373,7 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
     m, n_steps = uniforms.shape
     x, y = tab.x_grid, tab.y_grid
     out = np.zeros((m, n_steps + 1))
-    out[:, 1] = _inverse_cdf(x, tab.first_cdf, uniforms[:, 0])
+    out[:, 1] = _inverse_cdf(x, tab.first_cdf, np.zeros(m, np.intp), uniforms[:, 0])
     for k in range(2, n_steps + 1):
         r_prev = out[:, k - 1]
         if np.any(r_prev > y[-1]):
@@ -380,27 +383,22 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
             )
         hi = np.clip(np.searchsorted(y, r_prev), 1, y.size - 1)
         lo = hi - 1
-        ok = tab.row_ok[k - 2]
-        if not np.all(ok[lo] & ok[hi]):
-            bad = r_prev[~(ok[lo] & ok[hi])][0]
+        # this step's rows, for the bracketing anchors in use only:
+        # row[:m] indexes each path's lo row, row[m:] its hi row
+        anchors, row = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        rows, ok = _step_rows(tab, k, anchors)
+        ok = ok[row[:m]] & ok[row[m:]]
+        if not np.all(ok):
             raise GridExhaustionError(
-                f"transition CDF from r = {bad:.4g} at step {k} misses more "
-                f"than {_TAIL_DEFICIT:g} of its mass on [0, {x[-1]:g}]; "
+                f"transition CDF from r = {r_prev[~ok][0]:.4g} at step {k} misses "
+                f"more than {_TAIL_DEFICIT:g} of its mass on [0, {x[-1]:g}]; "
                 "enlarge the grid"
             )
         # quantile interpolation between the bracketing anchor rows
         frac = np.clip((r_prev - y[lo]) / (y[hi] - y[lo]), 0.0, 1.0)
         u = uniforms[:, k - 1]
-        cdfs = tab.step_cdfs[k - 2]
-        q_lo = np.empty(m)
-        q_hi = np.empty(m)
-        for j in np.unique(lo):
-            sel = lo == j
-            q_lo[sel] = _inverse_cdf(x, cdfs[j], u[sel])
-        for j in np.unique(hi):
-            sel = hi == j
-            q_hi[sel] = _inverse_cdf(x, cdfs[j], u[sel])
-        out[:, k] = (1.0 - frac) * q_lo + frac * q_hi
+        q = _inverse_cdf(x, _row_cdf(x, rows), row, np.concatenate([u, u]))
+        out[:, k] = (1.0 - frac) * q[:m] + frac * q[m:]
     return out
 
 

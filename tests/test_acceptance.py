@@ -178,13 +178,13 @@ def test_criterion_05_kernel_identities():
 
 def test_criterion_06_density_convergence(ball, ball_summary):
     for chi in (0.0, 1.0):
-        table = heatflow.verify_prop3(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
+        table = heatflow.verify_prop1(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
         assert table.strictly_decreasing, (chi, table.rows)
 
 
 def test_criterion_07_partition_convergence(ball, ball_summary):
     for chi in (0.0, 1.0):
-        table = heatflow.verify_prop1(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
+        table = heatflow.verify_prop3(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
         assert table.strictly_decreasing, (chi, table.rows)
 
 

@@ -7,6 +7,8 @@ checks the module is runnable as installed.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -148,6 +150,17 @@ class TestSampleCommand:
         first = [float(x) for x in lines[1].split(",")[1:]]
         assert np.allclose(first, want[0], rtol=0, atol=0)
 
+    def test_paths_csv_bytes_match_csv_writer(self, tmp_path, capsys):
+        assert main(["sample", "--gamma", "-0.5", "--n-paths", "40", "--steps", "6",
+                     "--seed", "8", "--out", str(tmp_path)]) == 0
+        paths = sample_paths(ZeroRangeParams(-0.5), 6, 40, 8)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["path"] + [repr(float(t)) for t in np.arange(7) / 6])
+        for i, row in enumerate(paths):
+            writer.writerow([i] + [repr(float(r)) for r in row])
+        assert (tmp_path / "paths.csv").read_bytes() == ref.getvalue().encode()
+
     def test_env_seed_fallback_and_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYMER_LAB_SEED", "91")
         main(["sample", "--gamma", "0.5", "--n-paths", "20", "--steps", "4",
@@ -216,6 +229,20 @@ class TestVerifyCommands:
         payload = json.loads((tmp_path / "theorem2.json").read_text())
         assert min(payload["ess"].values()) > 0.01 * 8000
         assert payload["inconclusive_reasons"] == {"25.0": "predicted_moment"}
+
+    def test_prop2_inconclusive_line_names_horizon_and_reason(self, tmp_path, capsys):
+        # at this seed the standard error exceeds the gap at T = 9, while at
+        # T = 25 the gap is resolved but the predicted weight second moment
+        # (22.8) exceeds 2 ln 1000
+        code = main(["verify-prop2", "--chi", "2", "--T", "9,25", "--times", "1",
+                     "--n-paths", "1000", "--seed", "2", "--out", str(tmp_path)])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "INCONCLUSIVE: T = 9.0: standard_error; T = 25.0: predicted_moment" in out
+        payload = json.loads((tmp_path / "prop2.json").read_text())
+        assert payload["inconclusive_reasons"] == {
+            "9.0": "standard_error", "25.0": "predicted_moment",
+        }
 
 
 class TestUsage:

@@ -48,6 +48,21 @@ class TestEvolution:
     def test_point_source_mass_equals_partition_value(self, ball):
         assert duality_gap(ball, 1.0, 1.0) < 1e-4
 
+    def test_duality_gap_forwards_config_to_both_runs(self, ball, monkeypatch):
+        seen = []
+
+        def recording(evolve):
+            def run(v, beta, times, cfg=None):
+                seen.append((evolve.__name__, cfg))
+                return evolve(v, beta, times, cfg)
+            return run
+
+        for name in ("evolve_point_source", "evolve_partition"):
+            monkeypatch.setattr(heatflow, name, recording(getattr(heatflow, name)))
+        cfg = StepperConfig.auto_point_source(ball, 1.0, 1.0)
+        assert duality_gap(ball, 1.0, 1.0, cfg) < 1e-4
+        assert seen == [("evolve_point_source", cfg), ("evolve_partition", cfg)]
+
     def test_profile_interp_hits_nodes(self, ball):
         prof = evolve_partition(ball, 1.0, [1.0])[0]
         k = len(prof.grid) // 3

@@ -327,8 +327,10 @@ class TestPartitionFunctionalSweep:
         assert refs[0] == pytest.approx(refs[1], rel=1e-3)
         assert rep.to_csv().splitlines()[0] == "T,estimate,reference,rel_gap,se"
         assert sorted(rep.to_json_dict()) == [
-            "gaps_decreasing", "inconclusive", "notes", "params", "rows",
+            "gaps_decreasing", "inconclusive", "inconclusive_reasons", "notes",
+            "params", "rows",
         ]
+        assert rep.inconclusive_reasons == {}
 
     def test_gap_at_noise_floor_is_inconclusive(self, ball, ball_summary):
         # by T = 16 the true gap has shrunk below this n's standard
@@ -339,6 +341,7 @@ class TestPartitionFunctionalSweep:
             n=2000, seed=7, summary=ball_summary,
         )
         assert rep.inconclusive
+        assert rep.inconclusive_reasons == {16.0: "standard_error"}
 
     def test_start_point_validated(self, ball, ball_summary):
         f = lambda r: np.asarray(r)
