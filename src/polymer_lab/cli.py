@@ -1,7 +1,7 @@
 """Command-line front end for the verification suites and kernel computations.
 
-One executable, one command per run.  Exit codes: 0 success, 1 usage or
-input error, 2 a verification property failed, 3 verification inconclusive
+One executable, one command per run.  Exit codes: 0 success, 1 usage,
+input or out-of-memory error, 2 a verification property failed, 3 verification inconclusive
 (importance-sampling collapse, or Monte Carlo noise larger than the gap
 under test).  Every run that gets past argument parsing writes
 ``manifest.json`` into the output directory with all inputs
@@ -348,7 +348,7 @@ def run(cfg: RunConfig) -> int:
         return 1
     try:
         code, outputs, lines = _DISPATCH[cfg.command](cfg)
-    except (ValueError, OSError, GridExhaustionError) as exc:
+    except (ValueError, OSError, MemoryError, GridExhaustionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in lines:

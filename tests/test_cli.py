@@ -244,6 +244,44 @@ class TestVerifyCommands:
             "9.0": "standard_error", "25.0": "predicted_moment",
         }
 
+    def test_out_of_memory_exits_1(self, tmp_path, capsys):
+        # 1e14 steps per path: even a one-path block's buffers (2.4e15 bytes)
+        # exceed the address space, so the allocation fails on any host
+        code = main(["verify-theorem", "--chi", "0", "--T", "1e12", "--times", "1",
+                     "--n-paths", "1000", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "allocate" in err
+        assert not (tmp_path / "theorem2.json").exists()
+
+    def test_worker_error_exits_1_from_either_worker(self, tmp_path, capsys, monkeypatch):
+        # at T = 2 a block holds 64 paths and blocks are dealt round-robin,
+        # so with two workers block 0 runs on the first and block 1 on the
+        # second; an error in either must reach the CLI the same way
+        from polymer_lab import montecarlo
+
+        real = montecarlo._simulate_block
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        errs = []
+        for failing_lo in (0, 64):
+            def block(rngs, lo, *args, failing_lo=failing_lo):
+                if lo == failing_lo:
+                    raise MemoryError("cannot allocate block buffers")
+                real(rngs, lo, *args)
+
+            monkeypatch.setattr(montecarlo, "_simulate_block", block)
+            out_dir = tmp_path / str(failing_lo)
+            code = main(["verify-theorem", "--chi", "0", "--T", "2", "--times", "1",
+                         "--n-paths", "1000", "--out", str(out_dir)])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert not (out_dir / "theorem2.json").exists()
+            errs.append(err)
+        assert errs[0] == errs[1] == "error: cannot allocate block buffers\n"
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -8,12 +8,15 @@ stay conclusive, and runs whose evidence is provably insufficient.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from polymer_lab import montecarlo
 from polymer_lab.montecarlo import (
     PathEnsemble,
     Theorem2Report,
@@ -73,6 +76,40 @@ class TestSampler:
             record_times=[0.0, 1.0],
         )
         assert np.all(e.positions[:, 0, :] == np.array([2.0, 0.0, 0.0]))
+
+    def test_weighted_paths_pinned_bit_for_bit(self, ball):
+        # digests of the draws of the single-threaded 64-path chunk loop this
+        # sampler replaced.  T = 25 has 2501 grid points, so 1000 paths make
+        # 29 full 34-path blocks and a ragged 14-path one; the off-origin
+        # start at T = 4 sends paths across the well edge both ways
+        cases = [
+            (dict(beta=1.0, T=25.0, seed=11, record_times=[12.5, 25.0]),
+             "41db4a6b377cee15f6964b1815cfbfe52247650c72340322265d8f0ca0e32729",
+             "fb73ea87f1c6934ab7b85887e191d99ab47c87f0e3872e2c41a46928335aa453"),
+            (dict(beta=0.5, T=4.0, seed=3, start=(1.0, 0.0, 0.0)),
+             "006543c80ca055286be14aa7fd135d00ec23852d8afe136e3b660e94cfc21e69",
+             "1f1e5238c25177040b3a5559731b934f930733900e533654b4599310a316cb1b"),
+        ]
+        for kwargs, pos_digest, lw_digest in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                e = sample_weighted_paths(ball, dt=0.01, n=1000, **kwargs)
+            assert hashlib.sha256(e.positions.tobytes()).hexdigest() == pos_digest
+            assert hashlib.sha256(e.log_weights.tobytes()).hexdigest() == lw_digest
+        # some paths of the second case never reach the well, most do
+        assert 0.0 < np.mean(e.log_weights == 0.0) < 0.5
+
+    def test_draws_independent_of_core_count(self, ball, monkeypatch):
+        # 1003 paths at T = 2 make 15 full 64-path blocks and a ragged one,
+        # dealt to one worker or round-robin to three
+        runs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda c=cores: c)
+            runs.append(sample_weighted_paths(
+                ball, 0.8, 2.0, 0.01, 1003, seed=9, start=(0.5, 0.5, 0.0)
+            ))
+        assert np.array_equal(runs[0].positions, runs[1].positions)
+        assert np.array_equal(runs[0].log_weights, runs[1].log_weights)
 
     def test_ess_shrinks_with_coupling(self, ball):
         import warnings
@@ -311,6 +348,13 @@ class TestTheorem2Verdicts:
         with pytest.raises(ValueError, match="times"):
             verify_theorem2(ball, 0.0, (4.0,), (1.5,), n=1000, seed=0,
                             summary=ball_summary)
+
+    def test_time_snapping_to_zero_rejected(self, ball, ball_summary):
+        # t T = 0.001 < dt / 2 would record the point mass at the start and
+        # report KS = 1 rows as a failed verdict
+        with pytest.raises(ValueError, match=r"t = 0\.001 at T = 1\.0"):
+            verify_theorem2(ball, 0, [1, 4], [0.001, 1], n=1000, seed=0,
+                            beta_override=0.4, model="wiener", summary=ball_summary)
 
 
 class TestPartitionFunctionalSweep:
