@@ -78,10 +78,11 @@ class TestSampler:
         assert np.all(e.positions[:, 0, :] == np.array([2.0, 0.0, 0.0]))
 
     def test_weighted_paths_pinned_bit_for_bit(self, ball):
-        # digests of the draws of the single-threaded 64-path chunk loop this
-        # sampler replaced.  T = 25 has 2501 grid points, so 1000 paths make
-        # 29 full 34-path blocks and a ragged 14-path one; the off-origin
-        # start at T = 4 sends paths across the well edge both ways
+        # digests taken from the single-threaded 64-path chunk loop, so a
+        # block, mask or thread layout that moves one bit fails here.
+        # T = 25 has 2501 grid points, so 1000 paths make 29 full 34-path
+        # blocks and a ragged 14-path one; the off-origin start at T = 4
+        # sends paths across the well edge both ways
         cases = [
             (dict(beta=1.0, T=25.0, seed=11, record_times=[12.5, 25.0]),
              "41db4a6b377cee15f6964b1815cfbfe52247650c72340322265d8f0ca0e32729",
@@ -348,8 +349,6 @@ class TestTheorem2Verdicts:
         with pytest.raises(ValueError, match="times"):
             verify_theorem2(ball, 0.0, (4.0,), (1.5,), n=1000, seed=0,
                             summary=ball_summary)
-
-    def test_time_snapping_to_zero_rejected(self, ball, ball_summary):
         # t T = 0.001 < dt / 2 would record the point mass at the start and
         # report KS = 1 rows as a failed verdict
         with pytest.raises(ValueError, match=r"t = 0\.001 at T = 1\.0"):
