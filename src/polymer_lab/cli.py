@@ -1,10 +1,10 @@
 """Command-line front end for the verification suites and kernel computations.
 
 One executable, one command per run.  Exit codes: 0 success, 1 usage,
-input or out-of-memory error, 2 a verification property failed, 3 verification inconclusive
-(importance-sampling collapse, or Monte Carlo noise larger than the gap
-under test).  Every run that gets past argument parsing writes
-``manifest.json`` into the output directory with all inputs
+input or out-of-memory error, 2 a verification property failed, 3
+verification inconclusive (importance-sampling collapse, or Monte Carlo
+noise larger than the gap under test).  Every run that gets past argument
+parsing writes ``manifest.json`` into the output directory with all inputs
 materialized (defaults included), library versions, wall time, and the exit
 code, so a run is reproducible from its manifest and the same binary.
 

@@ -14,10 +14,10 @@ Every path draws from its own random stream spawned off the ensemble seed,
 so path i is reproducible independently of the ensemble size.  The
 arithmetic runs in blocks of paths sized to about 2 MB per buffer, on one
 worker thread per usable core (one in all for paths under 200 steps), and
-evaluates v only at the points inside its support; the draws, positions and weights are bit-for-bit the same
-whatever the block size or the core count.  Positions are recorded only at
-the requested record times; weights always accumulate over the full step
-grid.
+evaluates v only at the points inside its support; the draws, positions
+and weights are bit-for-bit the same whatever the block size or the core
+count.  Positions are recorded only at the requested record times; weights
+always accumulate over the full step grid.
 """
 
 from __future__ import annotations
