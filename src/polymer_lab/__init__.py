@@ -1,25 +1,17 @@
 """Numerical toolkit for continuous homopolymers near their critical coupling.
 
-Six pieces, one pipeline: Bromwich contour quadrature for the interaction
-kernel (laplace), the zero-range limit measures built from it (zerorange),
-exact transfer-matrix spectra of the well operator (spectral),
-Crank-Nicolson heat flows for the finite-size laws (heatflow), weighted
-Wiener ensembles under diffusive rescaling (montecarlo), and a CLI that
-orchestrates the verification suites (cli).
+Six pieces, one pipeline: closed forms of the interaction kernel and its
+time integral (laplace; the Bromwich quadrature is a test oracle), the
+zero-range limit measures built from them (zerorange), exact
+transfer-matrix spectra of the well operator (spectral), Crank-Nicolson
+heat flows for the finite-size laws (heatflow), weighted Wiener ensembles
+under diffusive rescaling (montecarlo), and a CLI that orchestrates the
+verification suites (cli).
 """
 
 __version__ = "0.1.0"
 
-from .laplace import (
-    ContourPlacementError,
-    ContourSpec,
-    LaplaceEvaluationError,
-    bromwich_invert,
-    kernel_closed_form,
-    kernel_integral,
-    zbar_correction,
-    zeta_constant,
-)
+from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .potentials import RadialPotential, scaled_ball_potential, unit_ball_potential
 from .radial import RadialDensity, default_radial_grid, wiener_radial_cdf
 from .spectral import (
@@ -62,10 +54,6 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "ContourPlacementError",
-    "ContourSpec",
-    "LaplaceEvaluationError",
-    "bromwich_invert",
     "kernel_closed_form",
     "kernel_integral",
     "zbar_correction",

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__, heatflow, montecarlo, spectral, zerorange
-from .laplace import ContourSpec, kernel_integral
+from .laplace import kernel_integral
 from .potentials import RadialPotential, scaled_ball_potential
 from .zerorange import GridExhaustionError, ZeroRangeParams
 
@@ -75,7 +75,6 @@ class RunConfig:
     dt: float
     seed: int
     out_dir: str
-    nodes: int | None
     fmt: str
     steps: int
 
@@ -155,7 +154,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (fallback: POLYMER_LAB_SEED, then 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--nodes", type=int, default=None, help="contour quadrature nodes")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return p
 
@@ -216,10 +214,7 @@ def _cmd_spectral(cfg: RunConfig):
 
 
 def _cmd_kernel(cfg: RunConfig):
-    contour = None
-    if cfg.nodes is not None:
-        contour = ContourSpec.for_kernel(cfg.gamma, cfg.rho, cfg.t, nodes=cfg.nodes)
-    value = kernel_integral(cfg.gamma, cfg.rho, cfg.t, contour)
+    value = kernel_integral(cfg.gamma, cfg.rho, cfg.t)
     path = os.path.join(cfg.out_dir, "kernel.json")
     _write_json(path, {"gamma": cfg.gamma, "rho": cfg.rho, "t": cfg.t, "value": value})
     return 0, [path], [repr(value)]
@@ -386,7 +381,6 @@ def main(argv=None) -> int:
             dt=args.dt,
             seed=_resolve_seed(args.seed),
             out_dir=args.out,
-            nodes=args.nodes,
             fmt=args.fmt,
             steps=args.steps,
         )

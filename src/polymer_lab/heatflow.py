@@ -338,6 +338,30 @@ class ConvergenceTable:
             json.dump(self.to_json_dict(), fh, indent=1)
 
 
+def _horizon_ladder(
+    summary: SpectralSummary, chi: float, T_list: Sequence[float], t: float,
+    x_list: Sequence[float], target, observe,
+) -> ConvergenceTable:
+    """Sup error over x_list, per horizon T, of a rescaled flow against its limit.
+
+    observe(beta, T, r) is the flow at beta = beta_cr + chi/sqrt(T), read at
+    r = x sqrt(T); target(gamma, x) is the zero-range limit.
+    """
+    gamma = gamma_of_chi(summary, chi)
+    xs = np.asarray(x_list, dtype=float)
+    want = target(gamma, xs)
+    rows = []
+    for T in T_list:
+        beta = summary.beta_cr + chi / math.sqrt(T)
+        got = observe(beta, T, xs * math.sqrt(T))
+        rows.append((float(T), float(np.max(np.abs(got - want)))))
+    return ConvergenceTable(
+        parameter="T",
+        rows=tuple(rows),
+        meta={"chi": chi, "gamma": gamma, "t": t, "x_list": list(map(float, xs))},
+    )
+
+
 def verify_prop3(
     v: RadialPotential,
     summary: SpectralSummary,
@@ -352,19 +376,10 @@ def verify_prop3(
     Returns the sup error over x_list for each horizon T; the window
     coupling is beta(T) = beta_cr + chi/sqrt(T).
     """
-    gamma = gamma_of_chi(summary, chi)
-    xs = np.asarray(x_list, dtype=float)
-    target = 1.0 + laplace.zbar_correction(gamma, xs, t) / xs
-    rows = []
-    for T in T_list:
-        beta = summary.beta_cr + chi / math.sqrt(T)
-        [z] = evolve_partition(v, beta, [t * T], cfg)
-        got = z.interp(xs * math.sqrt(T))
-        rows.append((float(T), float(np.max(np.abs(got - target)))))
-    return ConvergenceTable(
-        parameter="T",
-        rows=tuple(rows),
-        meta={"chi": chi, "gamma": gamma, "t": t, "x_list": list(map(float, xs))},
+    return _horizon_ladder(
+        summary, chi, T_list, t, x_list,
+        lambda gamma, xs: 1.0 + laplace.zbar_correction(gamma, xs, t) / xs,
+        lambda beta, T, r: evolve_partition(v, beta, [t * T], cfg)[0].interp(r),
     )
 
 
@@ -380,24 +395,14 @@ def verify_prop1(
     """Fundamental-solution convergence T p_{beta(T)}(tT, 0, x sqrt(T)) -> limit.
 
     The limit density is kappa psi(0) I_gamma(t, x)/x, with every factor
-    taken from the computed spectral summary and the kernel quadrature's
-    closed form.
+    taken from the computed spectral summary and the closed form of the
+    kernel.
     """
-    gamma = gamma_of_chi(summary, chi)
-    xs = np.asarray(x_list, dtype=float)
-    target = summary.kappa * summary.psi.at_origin * laplace.kernel_closed_form(
-        gamma, xs, t
-    ) / xs
-    rows = []
-    for T in T_list:
-        beta = summary.beta_cr + chi / math.sqrt(T)
-        [w] = evolve_point_source(v, beta, [t * T], cfg)
-        got = T * w.interp(xs * math.sqrt(T))
-        rows.append((float(T), float(np.max(np.abs(got - target)))))
-    return ConvergenceTable(
-        parameter="T",
-        rows=tuple(rows),
-        meta={"chi": chi, "gamma": gamma, "t": t, "x_list": list(map(float, xs))},
+    return _horizon_ladder(
+        summary, chi, T_list, t, x_list,
+        lambda gamma, xs: summary.kappa * summary.psi.at_origin
+        * laplace.kernel_closed_form(gamma, xs, t) / xs,
+        lambda beta, T, r: T * evolve_point_source(v, beta, [t * T], cfg)[0].interp(r),
     )
 
 

@@ -10,10 +10,10 @@ module exposes the transition density ``pbar``, the partition factor
 origin-started transition kernel, radial marginals, and an inverse-CDF
 path sampler whose one-step kernel is tabulated once, whatever the step count.
 
-Point-level operations (`pbar`, `zbar`, and everything composed from them)
-go through the Bromwich quadrature in :mod:`.laplace`; grid-level machinery
-(marginals, sampler tables) uses the closed forms, which the test suite
-pins against the quadrature route.
+Point calls (`pbar`, `zbar`, and everything composed from them) and
+grid-level machinery (marginals, sampler tables) use the same closed forms
+from :mod:`.laplace`; the Bromwich quadrature is a test oracle that pins
+them in the test suite.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import simpson
 
-from .laplace import (
-    ContourSpec,
-    kernel_closed_form,
-    kernel_integral,
-    zbar_correction,
-    zbar_correction_quadrature,
-    zeta_constant,
-)
+from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .radial import RadialDensity, default_radial_grid, gauss_sphere_integral
 
 __all__ = [
@@ -62,26 +55,18 @@ class GridExhaustionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZeroRangeParams:
-    """Coupling of the limiting measure, plus an optional contour override.
+    """Coupling of the limiting measure.
 
     gamma > 0 tilts paths toward the origin, gamma < 0 away from it,
     gamma = 0 reduces every formula to the free Wiener quantities.
     """
 
     gamma: float
-    contour: ContourSpec | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
             raise ValueError("gamma must be a finite real number")
         object.__setattr__(self, "gamma", float(self.gamma))
-        if self.contour is not None and self.gamma > 0.0:
-            pole = 0.5 * self.gamma * self.gamma
-            if self.contour.apex <= pole:
-                raise ValueError(
-                    f"contour apex {self.contour.apex:.6g} must exceed the "
-                    f"kernel pole at gamma^2/2 = {pole:.6g}"
-                )
 
 
 def _point(x, name: str) -> np.ndarray:
@@ -114,23 +99,23 @@ def pbar(p: ZeroRangeParams, t: float, x, y) -> float:
     """Transition density of the zero-range evolution between off-origin points.
 
     Free Gaussian kernel plus the interaction excess
-    I(gamma, |x|+|y|, t) / (2 pi |x| |y|), the latter evaluated by contour
-    quadrature.  Symmetric in (x, y); strictly positive.
+    I(gamma, |x|+|y|, t) / (2 pi |x| |y|), the latter from the closed form
+    of I.  Symmetric in (x, y); strictly positive.
     """
     t = _check_time(t)
     xa, rx = _radius(x, "x")
     ya, ry = _radius(y, "y")
     d = xa - ya
     p0 = math.exp(-(d @ d) / (2.0 * t)) / (_TWO_PI * t) ** 1.5
-    inter = kernel_integral(p.gamma, rx + ry, t, p.contour) / (_TWO_PI * rx * ry)
+    inter = kernel_integral(p.gamma, rx + ry, t) / (_TWO_PI * rx * ry)
     return p0 + inter
 
 
 def zbar(p: ZeroRangeParams, t: float, x) -> float:
-    """Partition factor Z(t, x) = 1 + J(gamma, |x|, t) / |x|, quadrature route."""
+    """Partition factor Z(t, x) = 1 + J(gamma, |x|, t) / |x|."""
     t = _check_time(t)
     _, rx = _radius(x, "x")
-    return 1.0 + zbar_correction_quadrature(p.gamma, rx, t, p.contour) / rx
+    return float(_zbar_closed(p.gamma, rx, t))
 
 
 def _zbar_closed(gamma: float, r: np.ndarray, t: float) -> np.ndarray:

@@ -16,13 +16,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from bromwich import ContourSpec, kernel_integral_with_noise
 from polymer_lab import heatflow, montecarlo, spectral, zerorange
-from polymer_lab.laplace import (
-    ContourSpec,
-    kernel_closed_form,
-    kernel_integral,
-    zbar_correction,
-)
+from polymer_lab.laplace import kernel_closed_form, zbar_correction
 from polymer_lab.zerorange import ZeroRangeParams, marginal_radial, pbar_sphere_mean
 
 GAMMA1_EXACT = 8.0 * math.sqrt(2.0) / math.pi**2
@@ -68,15 +64,19 @@ _ROUND_OFF_CELLS = {(g, 5.0, 0.1) for g in (-2.0, 0.0, 1.0, 2.0)}
 
 @pytest.fixture(scope="module")
 def invariance_grid():
+    # the Bromwich quadrature oracle at its default apex and at twice that
     out = {}
     for g, rho, t in _GRID:
-        base = kernel_integral(g, rho, t, ContourSpec.for_kernel(g, rho, t))
-        moved = kernel_integral(g, rho, t, ContourSpec.for_kernel(g, rho, t, apex_scale=2.0))
+        base, _ = kernel_integral_with_noise(g, rho, t, ContourSpec.for_kernel(g, rho, t))
+        moved, _ = kernel_integral_with_noise(
+            g, rho, t, ContourSpec.for_kernel(g, rho, t, apex_scale=2.0)
+        )
         out[(g, rho, t)] = (base, moved)
     return out
 
 
 def test_criterion_04_closed_form_matches_quadrature(invariance_grid):
+    # production's closed form against the test-side quadrature oracle
     for (g, rho, t), (base, _) in invariance_grid.items():
         closed = kernel_closed_form(g, rho, t)
         scale = max(abs(closed), 1e-300)

@@ -45,26 +45,26 @@ class TestKernelCommand:
         cfg = manifest["config"]
         # every knob is materialized, including untouched defaults
         for key in ("command", "potential", "chi", "gamma", "T_list", "times",
-                    "t", "rho", "n_paths", "dt", "seed", "out_dir", "nodes",
+                    "t", "rho", "n_paths", "dt", "seed", "out_dir",
                     "fmt", "steps"):
             assert key in cfg, key
         assert cfg["n_paths"] == 50000
         assert cfg["seed"] == 0
 
-    def test_node_count_override_matches(self, tmp_path, capsys):
-        main(["kernel", "--gamma", "1", "--rho", "0.5", "--t", "0.8",
-              "--out", str(tmp_path / "a")])
-        a = float(capsys.readouterr().out.strip())
-        code = main(["kernel", "--gamma", "1", "--rho", "0.5", "--t", "0.8",
-                     "--nodes", "800", "--out", str(tmp_path / "b")])
-        b = float(capsys.readouterr().out.strip())
-        assert code == 0
-        assert a == pytest.approx(b, rel=1e-9)
-
     def test_negative_time_rejected(self, tmp_path, capsys):
         code = main(["kernel", "--t", "-1", "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma,rho", [("60", "0.1"), ("100", "40")])
+    def test_non_finite_kernel_exits_1(self, tmp_path, capsys, gamma, rho):
+        # e^{-gamma rho + gamma^2 t/2} overflows a double: inf at (60, 0.1), nan at (100, 40)
+        code = main(["kernel", "--gamma", gamma, "--rho", rho, "--t", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"(gamma, rho, t) = ({float(gamma)!r}, {float(rho)!r}, 1.0)" in err
+        assert not (tmp_path / "kernel.json").exists()
 
 
 class TestSpectralCommand:

@@ -6,16 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from polymer_lab.laplace import (
+from bromwich import (
     ContourPlacementError,
     ContourSpec,
     LaplaceEvaluationError,
     bromwich_invert,
+    kernel_integral_with_noise,
+    zbar_correction_quadrature,
+)
+from polymer_lab.laplace import (
     kernel_closed_form,
     kernel_integral,
-    kernel_integral_with_noise,
     zbar_correction,
-    zbar_correction_quadrature,
     zeta_constant,
 )
 
@@ -76,21 +78,24 @@ class TestContourSpec:
 
 
 class TestKernelIntegral:
+    """The production point entry and the quadrature oracle it is pinned to."""
+
     def test_free_kernel_value(self):
         # gamma = 0 has the heat-kernel original e^{-rho^2/2t}/sqrt(2 pi t)
-        got = kernel_integral(0.0, 1.0, 1.0)
-        assert got == pytest.approx(math.exp(-0.5) / math.sqrt(2 * math.pi), rel=1e-10)
+        exact = math.exp(-0.5) / math.sqrt(2 * math.pi)
+        assert kernel_integral(0.0, 1.0, 1.0) == pytest.approx(exact, rel=1e-14)
+        assert kernel_integral_with_noise(0.0, 1.0, 1.0)[0] == pytest.approx(exact, rel=1e-10)
 
     def test_matches_closed_form_spot_checks(self):
         for g, r, t in [(1.0, 1.0, 1.0), (-2.0, 0.5, 0.3), (2.0, 2.0, 0.5)]:
-            assert kernel_integral(g, r, t) == pytest.approx(
+            assert kernel_integral_with_noise(g, r, t)[0] == pytest.approx(
                 kernel_closed_form(g, r, t), rel=1e-9
             )
 
     def test_vertical_contour_agrees_with_bent(self):
         g, r, t = 1.0, 1.0, 1.0
         cv = ContourSpec.for_kernel(g, r, t, shape="vertical")
-        got = kernel_integral(g, r, t, contour=cv)
+        got = kernel_integral_with_noise(g, r, t, contour=cv)[0]
         assert got == pytest.approx(kernel_closed_form(g, r, t), rel=1e-9)
 
     def test_noise_flags_off_saddle_cancellation(self):
@@ -105,7 +110,7 @@ class TestKernelIntegral:
     def test_pole_right_of_apex_is_rejected(self):
         bad = ContourSpec(apex=1.0, shape="bent45")
         with pytest.raises(ContourPlacementError):
-            kernel_integral(3.0, 1.0, 1.0, contour=bad)
+            kernel_integral_with_noise(3.0, 1.0, 1.0, contour=bad)
 
 
 class TestKernelClosedForm:
