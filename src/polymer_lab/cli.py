@@ -8,14 +8,18 @@ parsing writes ``manifest.json`` into the output directory with all inputs
 materialized (defaults included), library versions, wall time, and the exit
 code, so a run is reproducible from its manifest and the same binary.
 
-Numeric output is written with repr(), i.e. shortest round-trip decimal.
+This module alone knows the file formats.  ``marginal`` and the verify
+commands write each table twice, as ``<name>.json`` (the report's fields,
+indented by 2) and ``<name>.csv`` (a header and one row per entry, CRLF
+line ends); ``sample`` writes ``paths.csv``, ``spectral`` and ``kernel`` one
+JSON file each.  Numbers are written with repr(), i.e. shortest round-trip
+decimal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import re
@@ -75,7 +79,6 @@ class RunConfig:
     dt: float
     seed: int
     out_dir: str
-    fmt: str
     steps: int
 
     def to_dict(self) -> dict:
@@ -145,7 +148,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--chi", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--T", default="25,100,400", help="comma-separated horizons")
-    p.add_argument("--times", default="0.5,1", help="comma-separated times in (0,1]")
+    p.add_argument("--times", default="0.5,1",
+                   help="comma-separated times in (0,1]; verify-prop2 uses only the "
+                   "first, starting at sqrt(T)*(1,0,0) with f = e^(-r^2/2)")
     p.add_argument("--t", type=float, default=1.0, help="single evaluation time")
     p.add_argument("--rho", type=float, default=1.0, help="kernel radial argument")
     p.add_argument("--n-paths", type=int, default=50_000)
@@ -154,7 +159,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (fallback: POLYMER_LAB_SEED, then 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return p
 
 
@@ -176,24 +180,47 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(cfg: RunConfig, name: str, table) -> str:
-    if cfg.fmt == "json":
-        path = os.path.join(cfg.out_dir, f"{name}.json")
-        _write_json(path, table.to_json_dict())
-    else:
-        path = os.path.join(cfg.out_dir, f"{name}.csv")
-        table.to_csv(path)
-    return path
+def _write_csv(path: str, header, rows, index: bool = False) -> None:
+    """A header and rows of numbers, in the csv module's dialect.
+
+    Each cell is repr(float(x)), which never needs quoting; with index, each
+    row starts with its 0-based number.  Lines end in CRLF.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, row in enumerate(rows):
+            lead = f"{i}," if index else ""
+            fh.write(lead + ",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\r\n")
 
 
-def _write_report(cfg: RunConfig, name: str, report) -> list:
-    """A Monte Carlo report as <name>.json and <name>.csv, whatever --format says."""
-    jpath = os.path.join(cfg.out_dir, f"{name}.json")
-    _write_json(jpath, report.to_json_dict())
-    cpath = os.path.join(cfg.out_dir, f"{name}.csv")
-    with open(cpath, "w") as fh:
-        fh.write(report.to_csv())
-    return [jpath, cpath]
+def _write_report(cfg: RunConfig, name: str, payload: dict, header, rows) -> list:
+    """payload as <name>.json and the rows under header as <name>.csv."""
+    base = os.path.join(cfg.out_dir, name)
+    _write_json(base + ".json", payload)
+    _write_csv(base + ".csv", header, rows)
+    return [base + ".json", base + ".csv"]
+
+
+# the PASS and FAIL lines of each verify command
+_VERDICT_LINES = {
+    "verify-prop1": ("errors strictly decreasing", "errors not decreasing"),
+    "verify-prop3": ("errors strictly decreasing", "errors not decreasing"),
+    "verify-poten": ("distances strictly decreasing", "not decreasing"),
+    "verify-theorem": ("KS decreasing and below threshold at every t",
+                       "KS not decreasing or above threshold"),
+    "verify-prop2": ("relative gaps decreasing in T", "relative gaps not decreasing"),
+}
+
+
+def _verdict(cfg: RunConfig, lines: list, passed: bool, inconclusive_reasons=None) -> int:
+    """Append the verdict line; exit 3 if inconclusive, else 0 if passed, else 2."""
+    if inconclusive_reasons:
+        lines.append("INCONCLUSIVE: " + "; ".join(
+            f"T = {T!r}: {why}" for T, why in inconclusive_reasons.items()))
+        return 3
+    ok, fail = _VERDICT_LINES[cfg.command]
+    lines.append(f"PASS: {ok}" if passed else f"FAIL: {fail}")
+    return 0 if passed else 2
 
 
 # each _cmd_* returns (exit_code, [output paths], stdout lines)
@@ -225,15 +252,11 @@ def _cmd_marginal(cfg: RunConfig):
     outs = []
     for t in cfg.times:
         dens = zerorange.marginal_radial(params, t)
-        if cfg.fmt == "json":
-            path = os.path.join(cfg.out_dir, f"marginal_t{t:g}.json")
-            _write_json(path, {"t": t, "gamma": cfg.gamma,
-                               "r": dens.grid.tolist(), "density": dens.values.tolist()})
-        else:
-            path = os.path.join(cfg.out_dir, f"marginal_t{t:g}.csv")
-            dens.to_csv(path)
-        outs.append(path)
-    return 0, outs, [f"wrote {len(outs)} marginal table(s)"]
+        r, density = dens.grid.tolist(), dens.values.tolist()
+        outs += _write_report(cfg, f"marginal_t{t:g}",
+                              {"t": t, "gamma": cfg.gamma, "r": r, "density": density},
+                              ("r", "density"), zip(r, density))
+    return 0, outs, [f"wrote {len(cfg.times)} marginal table(s)"]
 
 
 def _cmd_sample(cfg: RunConfig):
@@ -241,11 +264,7 @@ def _cmd_sample(cfg: RunConfig):
     paths = zerorange.sample_paths(params, cfg.steps, cfg.n_paths, cfg.seed)
     out = os.path.join(cfg.out_dir, "paths.csv")
     times = np.arange(cfg.steps + 1) / cfg.steps
-    # the csv module's dialect, written directly: repr never needs quoting
-    with open(out, "w", newline="") as fh:
-        fh.write(",".join(["path"] + [repr(float(t)) for t in times]) + "\r\n")
-        for i, row in enumerate(paths):
-            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\r\n")
+    _write_csv(out, ["path"] + [repr(float(t)) for t in times], paths, index=True)
     return 0, [out], [f"sampled {cfg.n_paths} paths of {cfg.steps} steps"]
 
 
@@ -256,25 +275,16 @@ def _cmd_verify_heatflow(cfg: RunConfig):
     # looked up per call so the module attribute can be swapped out
     verify = getattr(heatflow, f"verify_{name}")
     table = verify(v, summary, cfg.chi, cfg.T_list, t=cfg.t)
-    path = _write_table(cfg, name, table)
-    ok = table.strictly_decreasing
+    paths = _write_report(cfg, name, asdict(table), (table.parameter, "error"), table.rows)
     lines = [f"T = {T!r}: sup error {e!r}" for T, e in table.rows]
-    lines.append("PASS: errors strictly decreasing" if ok else "FAIL: errors not decreasing")
-    return (0 if ok else 2), [path], lines
+    return _verdict(cfg, lines, table.strictly_decreasing), paths, lines
 
 
 def _cmd_verify_poten(cfg: RunConfig):
     table = heatflow.verify_poten_family(cfg.gamma, t=cfg.t)
-    path = _write_table(cfg, "poten", table)
-    ok = table.strictly_decreasing
+    paths = _write_report(cfg, "poten", asdict(table), (table.parameter, "error"), table.rows)
     lines = [f"eps = {e!r}: KS {d!r}" for e, d in table.rows]
-    lines.append("PASS: distances strictly decreasing" if ok else "FAIL: not decreasing")
-    return (0 if ok else 2), [path], lines
-
-
-def _inconclusive_line(report) -> str:
-    return "INCONCLUSIVE: " + "; ".join(
-        f"T = {T!r}: {why}" for T, why in report.inconclusive_reasons.items())
+    return _verdict(cfg, lines, table.strictly_decreasing), paths, lines
 
 
 def _cmd_verify_theorem(cfg: RunConfig):
@@ -282,42 +292,24 @@ def _cmd_verify_theorem(cfg: RunConfig):
     report = montecarlo.verify_theorem2(
         v, cfg.chi, cfg.T_list, cfg.times, cfg.n_paths, cfg.seed, dt=cfg.dt
     )
-    paths = _write_report(cfg, "theorem2", report)
+    paths = _write_report(cfg, "theorem2", asdict(report), ("T", "t", "ks"), report.table)
     lines = [f"T = {T!r}, t = {t!r}: KS {ks!r}" for T, t, ks in report.table]
-    if report.inconclusive:
-        lines.append(_inconclusive_line(report))
-        code = 3
-    elif report.passed:
-        lines.append("PASS: KS decreasing and below threshold at every t")
-        code = 0
-    else:
-        lines.append("FAIL: KS not decreasing or above threshold")
-        code = 2
-    return code, paths, lines
+    return _verdict(cfg, lines, report.passed, report.inconclusive_reasons), paths, lines
 
 
 def _cmd_verify_prop2(cfg: RunConfig):
     v = load_potential(cfg.potential)
-    t = cfg.times[0] if cfg.times else 0.5
     report = montecarlo.verify_prop2(
-        v, cfg.chi, cfg.T_list, t, (1.0, 0.0, 0.0),
+        v, cfg.chi, cfg.T_list, cfg.times[0], (1.0, 0.0, 0.0),
         lambda r: np.exp(-0.5 * r * r), cfg.n_paths, cfg.seed, dt=cfg.dt,
     )
-    paths = _write_report(cfg, "prop2", report)
+    paths = _write_report(cfg, "prop2", asdict(report),
+                          ("T", "estimate", "reference", "rel_gap", "se"), report.rows)
     lines = [
         f"T = {T!r}: estimate {est!r} vs {ref!r} (rel gap {gap!r}, se {se!r})"
         for T, est, ref, gap, se in report.rows
     ]
-    if report.inconclusive:
-        lines.append(_inconclusive_line(report))
-        code = 3
-    elif report.gaps_decreasing:
-        lines.append("PASS: relative gaps decreasing in T")
-        code = 0
-    else:
-        lines.append("FAIL: relative gaps not decreasing")
-        code = 2
-    return code, paths, lines
+    return _verdict(cfg, lines, report.gaps_decreasing, report.inconclusive_reasons), paths, lines
 
 
 _DISPATCH = {
@@ -381,7 +373,6 @@ def main(argv=None) -> int:
             dt=args.dt,
             seed=_resolve_seed(args.seed),
             out_dir=args.out,
-            fmt=args.fmt,
             steps=args.steps,
         )
     except _UsageError as exc:

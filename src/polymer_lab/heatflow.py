@@ -27,8 +27,6 @@ horizon ladder.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -321,21 +319,6 @@ class ConvergenceTable:
     def strictly_decreasing(self) -> bool:
         e = self.errors
         return all(b < a for a, b in zip(e, e[1:]))
-
-    def to_json_dict(self) -> dict:
-        return {"parameter": self.parameter, "rows": [list(r) for r in self.rows],
-                "meta": dict(self.meta)}
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.parameter, "error"])
-            for p, e in self.rows:
-                writer.writerow([repr(float(p)), repr(float(e))])
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
 
 
 def _horizon_ladder(

@@ -46,9 +46,25 @@ def kernel_integral(gamma: float, rho: float, t: float) -> float:
     if not math.isfinite(value):
         raise ValueError(
             f"kernel at (gamma, rho, t) = ({gamma!r}, {rho!r}, {t!r}) is {value!r}: "
-            "e^{(rho - gamma t)^2/2t} overflows a double"
+            "e^{gamma^2 t/2 - gamma rho} overflows a double"
         )
     return value
+
+
+def _all_finite(x) -> bool:
+    return math.isfinite(x) if x.ndim == 0 else bool(np.isfinite(x).all())
+
+
+def _reflected(gamma, rho, t, z, gauss):
+    """e^{-rho^2/2t} erfcx(z), z = (rho - gamma t)/sqrt(2t), through the reflection.
+
+    erfcx(z) = 2 e^{z^2} - erfcx(-z), and e^{z^2} e^{-rho^2/2t} folds into one
+    exponent, e^{gamma^2 t/2 - gamma rho}, which overflows only where the
+    product itself does.  The direct form overflows first, once erfcx(z)
+    nears the largest double (z below about -26.6).
+    """
+    with np.errstate(over="ignore"):
+        return 2.0 * np.exp(0.5 * gamma * gamma * t - gamma * rho) - gauss * erfcx(-z)
 
 
 def kernel_closed_form(gamma, rho, t):
@@ -57,16 +73,23 @@ def kernel_closed_form(gamma, rho, t):
     I(gamma, rho, t) = e^{-rho^2/2t} [ 1/sqrt(2 pi t) + (gamma/2) erfcx((rho - gamma t)/sqrt(2t)) ].
 
     The erfcx factoring absorbs e^{gamma rho - gamma^2 t/2} exactly, so the
-    expression keeps the leading Gaussian scale.  It turns inf or nan only
-    when rho < gamma t and erfcx's e^{(rho - gamma t)^2/2t} overflows.
-    The test suite pins it against the Bromwich quadrature oracle.
+    expression keeps the leading Gaussian scale.  Where that product
+    overflows, erfcx's reflection takes over, so the result is inf only
+    where the kernel exceeds a double.  The test suite pins it against the
+    Bromwich quadrature oracle.
     """
     gamma = np.asarray(gamma, dtype=float)
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     gauss = np.exp(-rho * rho / (2.0 * t))
-    body = 1.0 / np.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx((rho - gamma * t) / np.sqrt(2.0 * t))
-    out = gauss * body
+    z = (rho - gamma * t) / np.sqrt(2.0 * t)
+    out = gauss * (1.0 / np.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx(z))
+    if not _all_finite(out):
+        # only the elements that overflowed (or turned 0 * inf = nan) change
+        out = np.array(out)
+        big = ~np.isfinite(out)
+        g, r, tt, zz, gs = (a[big] for a in np.broadcast_arrays(gamma, rho, t, z, gauss))
+        out[big] = gs / np.sqrt(2.0 * math.pi * tt) + 0.5 * g * _reflected(g, r, tt, zz, gs)
     if out.ndim == 0:
         return float(out)
     return out
@@ -82,7 +105,8 @@ def zbar_correction(gamma, rho, t):
     and the gamma -> 0 limit is sqrt(2t/pi) e^{-rho^2/2t} - rho erfc(rho/sqrt(2t)).
     Near zero the 1/gamma form loses digits to cancellation, so |gamma| below
     1e-6 switches to the limit plus its first gamma derivative; the switch
-    point keeps both branches' error under ~1e-13 relative.
+    point keeps both branches' error under ~1e-13 relative.  Where the 1/gamma
+    form overflows, erfcx is reflected as in :func:`kernel_closed_form`.
 
     The partition function of the zero-range measure is 1 + J(gamma,|x|,t)/|x|,
     hence the name.
@@ -98,7 +122,13 @@ def zbar_correction(gamma, rho, t):
 
     small = np.abs(gamma_b) < 1e-6
     g_safe = np.where(small, 1.0, gamma_b)
-    big_branch = (gauss * erfcx((rho_b - gamma_b * t_b) / np.sqrt(2.0 * t_b)) - tail) / g_safe
+    z = (rho_b - gamma_b * t_b) / np.sqrt(2.0 * t_b)
+    big_branch = (gauss * erfcx(z) - tail) / g_safe
+    if not _all_finite(big_branch):
+        big_branch = np.array(big_branch)
+        big = ~np.isfinite(big_branch)
+        big_branch[big] = (_reflected(gamma_b[big], rho_b[big], t_b[big], z[big], gauss[big])
+                           - tail[big]) / g_safe[big]
 
     j0 = np.sqrt(2.0 * t_b / math.pi) * gauss - rho_b * tail
     # d/dgamma at 0: (1/2) [ (t + rho^2) erfc - rho sqrt(2t/pi) e^{-rho^2/2t} ]
@@ -115,7 +145,8 @@ def zeta_constant(gamma: float) -> float:
     """Normalizing constant zeta(gamma) = J(gamma, 0, 1) of the zero-range bridge.
 
     zeta(gamma) = (1/gamma) [ e^{gamma^2/2} erfc(-gamma/sqrt(2)) - 1 ],
-    with zeta(0) = sqrt(2/pi).  Positive and increasing in gamma.
+    with zeta(0) = sqrt(2/pi).  Positive and increasing in gamma; raises
+    ValueError from gamma about 37.7 on, where it overflows a double.
     """
     _require(math.isfinite(gamma), "gamma must be finite")
     if abs(gamma) < 1e-6:
@@ -125,5 +156,10 @@ def zeta_constant(gamma: float) -> float:
         # erfcx form never overflows on this side
         val = (erfcx(-gamma / math.sqrt(2.0)) - 1.0) / gamma
     else:
-        val = (2.0 * math.exp(0.5 * gamma * gamma) - erfcx(gamma / math.sqrt(2.0)) - 1.0) / gamma
+        try:
+            twice_exp = 2.0 * math.exp(0.5 * gamma * gamma)
+        except OverflowError:
+            twice_exp = math.inf
+        val = (twice_exp - erfcx(gamma / math.sqrt(2.0)) - 1.0) / gamma
+        _require(math.isfinite(val), f"zeta(gamma) overflows a double at gamma = {gamma!r}")
     return float(val)

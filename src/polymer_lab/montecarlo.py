@@ -22,10 +22,8 @@ always accumulate over the full step grid.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,8 +48,6 @@ __all__ = [
     "verify_theorem2",
     "Prop2Report",
     "verify_prop2",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 # Below this ESS/n the self-normalized estimator is running on a handful of
@@ -66,9 +62,6 @@ _BLOCK_PATHS_MAX = 64
 # too short a GIL-free call for a second worker to gain more than the GIL
 # hand-overs cost (measured at 50-100 steps, break-even near 200).
 _THREADED_MIN_STEPS = 200
-
-_MAGIC = b"PLMC"
-_VERSION = 1
 
 _THRESHOLD_NOTE = (
     "KS thresholds and T schedules are engineering choices; no convergence "
@@ -422,34 +415,12 @@ class Theorem2Report:
     ess: dict
     table: list
     inconclusive: bool
+    # horizon -> "realized_ess" or "predicted_moment", for each horizon
+    # that made the verdict inconclusive
+    inconclusive_reasons: dict
     passed: bool | None
     per_time: dict
     notes: str = _THRESHOLD_NOTE
-    # horizon -> "realized_ess" or "predicted_moment", for each horizon
-    # that made the verdict inconclusive
-    inconclusive_reasons: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "ess": {repr(k): v for k, v in self.ess.items()},
-            "table": [[T, t, ks] for (T, t, ks) in self.table],
-            "inconclusive": self.inconclusive,
-            "inconclusive_reasons": {repr(k): v for k, v in self.inconclusive_reasons.items()},
-            "passed": self.passed,
-            "per_time": {repr(k): v for k, v in self.per_time.items()},
-            "notes": self.notes,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["T,t,ks"]
-        for T, t, ks in self.table:
-            lines.append(f"{T!r},{t!r},{ks!r}")
-        return "\n".join(lines) + "\n"
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def verify_theorem2(
@@ -568,30 +539,10 @@ class Prop2Report:
     rows: list  # (T, estimate, reference, rel_gap, se)
     gaps_decreasing: bool
     inconclusive: bool
-    notes: str = _THRESHOLD_NOTE
     # horizon -> "standard_error", "realized_ess" or "predicted_moment", for
     # each horizon that made the verdict inconclusive
-    inconclusive_reasons: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "rows": [list(r) for r in self.rows],
-            "gaps_decreasing": self.gaps_decreasing,
-            "inconclusive": self.inconclusive,
-            "inconclusive_reasons": {repr(k): v for k, v in self.inconclusive_reasons.items()},
-            "notes": self.notes,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["T,estimate,reference,rel_gap,se"]
-        for r in self.rows:
-            lines.append(",".join(repr(x) for x in r))
-        return "\n".join(lines) + "\n"
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+    inconclusive_reasons: dict
+    notes: str = _THRESHOLD_NOTE
 
 
 def verify_prop2(
@@ -691,64 +642,3 @@ def verify_prop2(
         inconclusive=bool(reasons),
         inconclusive_reasons=reasons,
     )
-
-
-# ---------------------------------------------------------------------------
-# Flat binary persistence
-# ---------------------------------------------------------------------------
-#
-# Layout (little-endian):
-#   magic   4 bytes  b"PLMC"
-#   version uint32   currently 1
-#   n       uint64   number of paths
-#   m       uint64   number of recorded times per path
-#   dt      float64
-#   T       float64
-#   seed    int64
-#   beta    float64
-# then m float64 recorded times, n*m*3 float64 positions in row-major
-# (path, time, coordinate) order, and n float64 per-path log-weights.
-# Weights are persisted in log scale for the same overflow reason they are
-# held that way in memory.
-
-_HEADER = struct.Struct("<4sIQQddqd")
-
-
-def save_ensemble(e: PathEnsemble, path) -> None:
-    """Write the ensemble in the flat binary layout above."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, _VERSION, e.n_paths, e.times.size,
-                e.dt, e.T, e.seed, e.beta,
-            )
-        )
-        fh.write(np.ascontiguousarray(e.times).tobytes())
-        fh.write(np.ascontiguousarray(e.positions).tobytes())
-        fh.write(np.ascontiguousarray(e.log_weights).tobytes())
-
-
-def load_ensemble(path) -> PathEnsemble:
-    """Read an ensemble written by :func:`save_ensemble`."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("truncated ensemble file")
-        magic, version, n, m, dt, T, seed, beta = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError(f"not an ensemble file (magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"unsupported ensemble version {version}")
-        body = np.frombuffer(fh.read(), dtype=np.float64)
-    want = m + n * m * 3 + n
-    if body.size != want:
-        raise ValueError(f"ensemble payload has {body.size} floats, expected {want}")
-    times = body[:m].copy()
-    pos = body[m : m + n * m * 3].reshape(n, m, 3).copy()
-    lw = body[m + n * m * 3 :].copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return PathEnsemble(
-            times=times, positions=pos, log_weights=lw,
-            T=T, dt=dt, beta=beta, seed=seed,
-        )

@@ -7,13 +7,12 @@ between closed-form marginals, PDE profiles, and weighted path ensembles.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import erf, erfc
+from scipy.special import erf
 
 __all__ = [
     "RadialDensity",
@@ -70,25 +69,6 @@ class RadialDensity:
         """Cumulative distribution on the grid, clipped to [0, 1]."""
         c = np.concatenate(([0.0], cumulative_trapezoid(self.values, self.grid)))
         return np.clip(c, 0.0, 1.0)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "density"])
-            for r, d in zip(self.grid, self.values):
-                writer.writerow([repr(float(r)), repr(float(d))])
-
-    @classmethod
-    def from_csv(cls, path) -> "RadialDensity":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["r", "density"]:
-                raise ValueError(f"expected header 'r,density', got {header!r}")
-            rows = [(float(a), float(b)) for a, b in reader]
-        g = np.array([r for r, _ in rows])
-        v = np.array([d for _, d in rows])
-        return cls(grid=g, values=v)
 
 
 def density_cdf(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

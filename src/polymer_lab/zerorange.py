@@ -112,10 +112,19 @@ def pbar(p: ZeroRangeParams, t: float, x, y) -> float:
 
 
 def zbar(p: ZeroRangeParams, t: float, x) -> float:
-    """Partition factor Z(t, x) = 1 + J(gamma, |x|, t) / |x|."""
+    """Partition factor Z(t, x) = 1 + J(gamma, |x|, t) / |x|.
+
+    Raises ValueError when the result is not finite.
+    """
     t = _check_time(t)
     _, rx = _radius(x, "x")
-    return float(_zbar_closed(p.gamma, rx, t))
+    value = float(_zbar_closed(p.gamma, rx, t))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"zbar at (gamma, t, |x|) = ({p.gamma!r}, {t!r}, {rx!r}) is {value!r}: "
+            "e^{gamma^2 t/2 - gamma |x|} overflows a double"
+        )
+    return value
 
 
 def _zbar_closed(gamma: float, r: np.ndarray, t: float) -> np.ndarray:

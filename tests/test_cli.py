@@ -46,7 +46,7 @@ class TestKernelCommand:
         # every knob is materialized, including untouched defaults
         for key in ("command", "potential", "chi", "gamma", "T_list", "times",
                     "t", "rho", "n_paths", "dt", "seed", "out_dir",
-                    "fmt", "steps"):
+                    "steps"):
             assert key in cfg, key
         assert cfg["n_paths"] == 50000
         assert cfg["seed"] == 0
@@ -130,12 +130,34 @@ class TestMarginalCommand:
             assert len(lines) > 100
 
     def test_json_tables(self, tmp_path, capsys):
-        code = main(["marginal", "--gamma", "1", "--times", "0.5", "--format",
-                     "json", "--out", str(tmp_path)])
+        code = main(["marginal", "--gamma", "1", "--times", "0.5", "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "marginal_t0.5.json").read_text())
         assert payload["gamma"] == 1.0
         assert len(payload["r"]) == len(payload["density"])
+
+    def test_writes_json_and_csv_per_time(self, tmp_path, capsys):
+        code = main(["marginal", "--gamma", "1", "--times", "0.5,1", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == "wrote 2 marginal table(s)\n"
+        names = ["marginal_t0.5.json", "marginal_t0.5.csv", "marginal_t1.json", "marginal_t1.csv"]
+        assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == names
+        for t in ("0.5", "1"):
+            payload = json.loads((tmp_path / f"marginal_t{t}.json").read_text())
+            rows = (tmp_path / f"marginal_t{t}.csv").read_text().splitlines()[1:]
+            assert [[float(x) for x in row.split(",")] for row in rows] == [
+                list(pair) for pair in zip(payload["r"], payload["density"])
+            ]
+
+    def test_overflowing_coupling_exits_1(self, tmp_path, capsys):
+        # zeta(60) ~ e^{1800}/30 overflows a double
+        code = main(["marginal", "--gamma", "60", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "gamma = 60.0" in err
+        assert not list(tmp_path.glob("marginal_*"))
 
 
 class TestSampleCommand:
@@ -192,7 +214,7 @@ class TestVerifyCommands:
 
     def test_prop3_json_format(self, tmp_path, capsys):
         code = main(["verify-prop3", "--chi", "1", "--T", "9,25",
-                     "--format", "json", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "prop3.json").read_text())
         assert payload["parameter"] == "T"
@@ -281,6 +303,40 @@ class TestVerifyCommands:
             assert not (out_dir / "theorem2.json").exists()
             errs.append(err)
         assert errs[0] == errs[1] == "error: cannot allocate block buffers\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestReportFiles:
+    """Each verify command writes <name>.json and <name>.csv through one writer."""
+
+    @pytest.mark.parametrize("argv,name,header,rows_key,context_key", [
+        (["verify-prop3", "--chi", "1", "--T", "9,25"], "prop3", "T,error", "rows", "meta"),
+        (["verify-poten", "--gamma", "0.5"], "poten", "eps,error", "rows", "meta"),
+        (["verify-theorem", "--chi", "2", "--T", "4,9", "--n-paths", "2000", "--seed", "3"],
+         "theorem2", "T,t,ks", "table", "notes"),
+        (["verify-prop2", "--chi", "1", "--T", "4,9", "--n-paths", "2000", "--seed", "3"],
+         "prop2", "T,estimate,reference,rel_gap,se", "rows", "notes"),
+    ], ids=["prop3", "poten", "theorem", "prop2"])
+    def test_json_and_csv(self, tmp_path, capsys, argv, name, header, rows_key, context_key):
+        main(argv + ["--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"{name}.json", f"{name}.csv"]
+        payload = json.loads((tmp_path / f"{name}.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert payload[context_key]
+        raw = (tmp_path / f"{name}.csv").read_bytes()
+        lines = raw.decode().split("\r\n")
+        assert lines[0] == header and lines[-1] == ""
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:-1]]
+        assert rows == payload[rows_key]
+
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        assert main(["kernel", "--format", "json", "--out", str(tmp_path)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestUsage:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from polymer_lab import heatflow
+from polymer_lab.cli import _write_csv, _write_json
 from polymer_lab.heatflow import (
     ConvergenceTable,
     NonConvergedError,
@@ -178,16 +180,17 @@ class TestConvergenceTable:
 
     def test_serialization_round_trip(self, tmp_path):
         tab = ConvergenceTable("eps", ((0.5, 0.25), (0.25, 0.0625)), meta={"beta": 1.0})
-        d = tab.to_json_dict()
+        jpath = tmp_path / "table.json"
+        _write_json(jpath, dataclasses.asdict(tab))
+        d = json.loads(jpath.read_text())
+        assert list(d) == ["parameter", "rows", "meta"]
         assert d["parameter"] == "eps"
+        assert d["rows"] == [[0.5, 0.25], [0.25, 0.0625]]
         assert d["meta"] == {"beta": 1.0}
 
-        jpath = tmp_path / "table.json"
-        tab.save_json(jpath)
-        assert json.loads(jpath.read_text()) == d
-
         cpath = tmp_path / "table.csv"
-        tab.to_csv(cpath)
+        _write_csv(cpath, (tab.parameter, "error"), tab.rows)
         lines = cpath.read_text().splitlines()
         assert lines[0] == "eps,error"
         assert lines[1].startswith("0.5,")
+        assert cpath.read_bytes() == b"eps,error\r\n0.5,0.25\r\n0.25,0.0625\r\n"

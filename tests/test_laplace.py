@@ -193,6 +193,40 @@ class TestZbarCorrection:
         assert zbar_correction(g, r, t) >= 0.0
 
 
+class TestPastErfcxOverflow:
+    """At (58, 20, 1) erfcx((rho - gamma t)/sqrt(2t)) = erfcx(-26.87) overflows,
+    yet I = 58 e^522 and J = 2 e^522 / 58 fit a double.  The references are
+    50-digit values of the erfc forms (J cross-checked against the time
+    integral of I to 1e-58)."""
+
+    I_58 = 2.9184183480563615926682720876079798856787295963033e228
+    J_58 = 1.7350881974175752631797099212889297774546549324039e225
+
+    def test_point_values(self):
+        assert kernel_closed_form(58.0, 20.0, 1.0) == pytest.approx(self.I_58, rel=1e-15)
+        assert kernel_integral(58.0, 20.0, 1.0) == pytest.approx(self.I_58, rel=1e-15)
+        assert zbar_correction(58.0, 20.0, 1.0) == pytest.approx(self.J_58, rel=1e-15)
+
+    def test_arrays_reflect_only_the_overflowing_elements(self):
+        g = np.array([1.0, 58.0])
+        kernel = kernel_closed_form(g, 20.0, 1.0)
+        assert kernel[0] == kernel_closed_form(1.0, 20.0, 1.0)
+        assert kernel[1] == pytest.approx(self.I_58, rel=1e-15)
+        j = zbar_correction(g, 20.0, 1.0)
+        assert j[0] == zbar_correction(1.0, 20.0, 1.0)
+        assert j[1] == pytest.approx(self.J_58, rel=1e-15)
+
+    def test_true_overflow_is_inf(self):
+        # e^{gamma^2 t/2 - gamma rho} = e^1794 and e^1000: past a double
+        for g, r in [(60.0, 0.1), (100.0, 40.0)]:
+            assert kernel_closed_form(g, r, 1.0) == math.inf
+            assert zbar_correction(g, r, 1.0) == math.inf
+
+    def test_zeta_overflow_names_gamma(self):
+        with pytest.raises(ValueError, match="gamma = 60.0"):
+            zeta_constant(60.0)
+
+
 class TestZetaConstant:
     def test_is_origin_time_integral_at_horizon_one(self):
         for g in (-3.0, -1.0, 0.0, 1.0, 2.4674011002723395):

@@ -8,6 +8,7 @@ stay conclusive, and runs whose evidence is provably insufficient.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from polymer_lab import montecarlo
+from polymer_lab.cli import _write_csv, _write_json
 from polymer_lab.montecarlo import (
     PathEnsemble,
     Theorem2Report,
@@ -24,10 +26,8 @@ from polymer_lab.montecarlo import (
     _derived_seed,
     empirical_radial_marginal,
     ks_distance,
-    load_ensemble,
     rescale_ensemble,
     sample_weighted_paths,
-    save_ensemble,
     verify_prop2,
     verify_theorem2,
 )
@@ -216,47 +216,7 @@ class TestWeightedECDF:
             ks_distance(e, lambda r: 2.0 * np.asarray(r))
 
 
-def _tiny_ensemble():
-    times = np.array([0.5, 1.0])
-    pos = np.arange(24, dtype=float).reshape(4, 2, 3) / 10.0
-    return PathEnsemble(times, pos, np.zeros(4), T=1.0, dt=0.5, beta=0.0, seed=9)
-
-
 class TestEnsembleIO:
-    def test_round_trip_is_exact(self, tmp_path):
-        e = _tiny_ensemble()
-        p = tmp_path / "e.bin"
-        save_ensemble(e, p)
-        back = load_ensemble(p)
-        assert np.array_equal(back.times, e.times)
-        assert np.array_equal(back.positions, e.positions)
-        assert np.array_equal(back.log_weights, e.log_weights)
-        assert (back.T, back.dt, back.beta, back.seed) == (e.T, e.dt, e.beta, e.seed)
-
-    def test_corruption_detected(self, tmp_path):
-        p = tmp_path / "e.bin"
-        save_ensemble(_tiny_ensemble(), p)
-        good = p.read_bytes()
-
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"XXXX" + good[4:])
-        with pytest.raises(ValueError, match="not an ensemble file"):
-            load_ensemble(bad)
-
-        raw = bytearray(good)
-        raw[4] = 99
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="unsupported ensemble version"):
-            load_ensemble(bad)
-
-        bad.write_bytes(good[:16])
-        with pytest.raises(ValueError, match="truncated"):
-            load_ensemble(bad)
-
-        bad.write_bytes(good[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_ensemble(bad)
-
     def test_ensemble_validation(self):
         times = np.array([0.5, 1.0])
         pos = np.zeros((4, 2, 3))
@@ -329,15 +289,26 @@ class TestTheorem2Verdicts:
             ess={4.0: 10.0},
             table=[(4.0, 1.0, 0.02)],
             inconclusive=False,
+            inconclusive_reasons={},
             passed=True,
             per_time={1.0: {"decreasing": True, "final_below": True}},
         )
-        lines = rep.to_csv().splitlines()
+        c = tmp_path / "rep.csv"
+        _write_csv(c, ("T", "t", "ks"), rep.table)
+        lines = c.read_text().splitlines()
         assert lines[0] == "T,t,ks"
         assert lines[1] == "4.0,1.0,0.02"
         p = tmp_path / "rep.json"
-        rep.save_json(p)
-        assert json.loads(p.read_text()) == rep.to_json_dict()
+        _write_json(p, dataclasses.asdict(rep))
+        payload = json.loads(p.read_text())
+        assert list(payload) == [
+            "params", "ess", "table", "inconclusive", "inconclusive_reasons",
+            "passed", "per_time", "notes",
+        ]
+        # float keys as repr(k), tuples as lists
+        assert payload["ess"] == {"4.0": 10.0}
+        assert payload["table"] == [[4.0, 1.0, 0.02]]
+        assert payload["per_time"] == {"1.0": {"decreasing": True, "final_below": True}}
 
     def test_argument_validation(self, ball, ball_summary):
         with pytest.raises(ValueError, match="model"):
@@ -368,8 +339,8 @@ class TestPartitionFunctionalSweep:
         # the reference is the T-independent limit functional
         refs = [row[2] for row in rep.rows]
         assert refs[0] == pytest.approx(refs[1], rel=1e-3)
-        assert rep.to_csv().splitlines()[0] == "T,estimate,reference,rel_gap,se"
-        assert sorted(rep.to_json_dict()) == [
+        assert all(len(row) == 5 for row in rep.rows)
+        assert sorted(dataclasses.asdict(rep)) == [
             "gaps_decreasing", "inconclusive", "inconclusive_reasons", "notes",
             "params", "rows",
         ]

@@ -115,14 +115,6 @@ class TestRadialDensity:
         ref = maxwell.cdf(d.grid)
         assert np.max(np.abs(c - ref)) < 1e-6
 
-    def test_csv_round_trip(self, tmp_path):
-        d = self._maxwell_density(n=50)
-        p = tmp_path / "d.csv"
-        d.to_csv(p)
-        back = RadialDensity.from_csv(p)
-        assert np.array_equal(back.grid, d.grid)
-        assert np.array_equal(back.values, d.values)
-
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             RadialDensity(grid=np.array([0.0, 1.0]), values=np.array([1.0, -0.1]))

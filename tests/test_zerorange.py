@@ -270,6 +270,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="origin"):
             pbar(self.p, 0.5, (1, 0, 0), (0.0, 0.0, 0.0))
 
+    def test_overflowing_coupling_rejected(self):
+        # J(60, 0.1, 1) ~ e^{1794}: no double holds Z, nor zeta(60)
+        p = ZeroRangeParams(60.0)
+        with pytest.raises(ValueError, match=r"zbar at \(gamma, t, \|x\|\) = \(60.0, 1.0, 0.1\)"):
+            zbar(p, 1.0, (0.1, 0.0, 0.0))
+        with pytest.raises(ValueError, match="gamma = 60.0"):
+            marginal_radial(p, 1.0)
+
     def test_sampler_arguments(self):
         with pytest.raises(ValueError, match="n_steps"):
             sample_paths(self.p, 0, 10, seed=1)
