@@ -334,7 +334,10 @@ def run(cfg: RunConfig) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
     try:
-        code, outputs, lines = _DISPATCH[cfg.command](cfg)
+        # every output is checked for finiteness before it is written, so
+        # numpy's overflow warnings would only add lines to stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, outputs, lines = _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError, MemoryError, GridExhaustionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,8 +17,12 @@ needs 4,729 nodes against 41,489 on a uniform grid of the same h.
 
 Crank-Nicolson steps on a geometrically growing time schedule resolve the
 t^{-3/2} startup without paying for it at horizon scale.  Past the startup
-every step is dt_max, so the tridiagonal system is LU-factored (LAPACK
-dgttrf) once per distinct step size and each step is one dgttrs solve.
+every step is dt_max.  The step's matrix M - (dt/2) A is symmetric positive
+definite wherever Crank-Nicolson is in range, so it gets an LDL^T factor
+(LAPACK dpttrf, no pivoting) once per distinct step size, kept with the
+right-hand side's coefficients; each step is one tridiagonal product and
+one dpttrs solve.  A step that leaves the matrix indefinite raises
+ValueError instead of returning an oscillating profile.
 
 The verify_* drivers compare finite-horizon output, diffusively rescaled,
 against the zero-range limit objects and report error tables over the
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import laplace, zerorange
 from .potentials import RadialPotential, scaled_ball_potential
@@ -71,8 +75,11 @@ class StepperConfig:
     outer nodes stretched to end on L.  t0 is the point-source
     regularization time; the schedule starts at dt0 and grows geometrically
     until dt_max.  growth = 1 freezes a uniform step dt0 (used by
-    convergence tests).  Each distinct step size is factored once, so a run
-    costs about one factorization per startup step plus one solve per step.
+    convergence tests).  Each distinct step size is factored once (LDL^T),
+    so a run costs about one factorization per startup step plus one solve
+    per step.  dt_max/2 times the flow's growth rate (the top eigenvalue of
+    (1/2) Lap + beta v on the mesh) must stay below 1, or the step's matrix
+    is not positive definite and the run raises ValueError.
     """
 
     L: float
@@ -167,6 +174,10 @@ def _cn_run(
     widths as the diagonal mass M and A symmetric tridiagonal (flux
     1/(2 gap) between neighbours, beta times the cell average of v on the
     diagonal).  On a uniform grid this is the three-point scheme times h.
+    Each step solves (M - (dt/2) A) u' = (M + (dt/2) A) u + dt c, c the
+    Dirichlet wall term, with the LDL^T factor of the left matrix; a
+    factor that is not positive definite raises ValueError naming the step
+    and beta.
     """
     gaps = np.diff(nodes)
     mass = 0.5 * (gaps[:-1] + gaps[1:])
@@ -179,27 +190,31 @@ def _cn_run(
     t = t_start
     dt = cfg.dt0
     out: list[np.ndarray] = []
-    lus: dict[float, tuple] = {}  # step -> LU of M - (step/2) A; the latest two
+    # step -> (M + (step/2) A as diagonal and off-diagonal, LDL^T factor of
+    # M - (step/2) A); the latest two
+    steps: dict[float, tuple] = {}
     for stop in stops:
         while t < stop - 1e-13 * max(1.0, stop):
             step = min(dt, stop - t)
-            half = 0.5 * step
-            rhs = (mass + half * diag_a) * u
-            rhs[:-1] += half * off * u[1:]
-            rhs[1:] += half * off * u[:-1]
+            coeffs = steps.pop(step, None)
+            if coeffs is None:
+                half = 0.5 * step
+                ld, le, info = dpttrf(mass - half * diag_a, -half * off)
+                if info > 0:
+                    raise ValueError(
+                        f"Crank-Nicolson step {step!r} at beta = {beta!r} exceeds the "
+                        "scheme's range for this well (M - (dt/2) A is not positive definite)"
+                    )
+                coeffs = (mass + half * diag_a, half * off, ld, le)
+            steps[step] = coeffs
+            if len(steps) > 2:
+                del steps[next(iter(steps))]
+            b_diag, b_off, ld, le = coeffs
+            rhs = b_diag * u
+            rhs[:-1] += b_off * u[1:]
+            rhs[1:] += b_off * u[:-1]
             rhs[-1] += step * flux[-1] * bc_right  # Dirichlet value, both time levels
-            lu = lus.pop(step, None)
-            if lu is None:
-                sub = -half * off
-                *lu, info = dgttrf(sub, mass - half * diag_a, sub)
-                if info != 0:
-                    raise RuntimeError(f"LAPACK dgttrf failed with info={info}")
-            lus[step] = lu
-            if len(lus) > 2:
-                del lus[next(iter(lus))]
-            u, info = dgttrs(*lu, rhs)
-            if info != 0:
-                raise RuntimeError(f"LAPACK dgttrs failed with info={info}")
+            u, _ = dpttrs(ld, le, rhs, overwrite_b=1)
             t += step
             dt = min(dt * cfg.growth, cfg.dt_max)
         out.append(u.copy())
@@ -337,7 +352,13 @@ def _horizon_ladder(
     for T in T_list:
         beta = summary.beta_cr + chi / math.sqrt(T)
         got = observe(beta, T, xs * math.sqrt(T))
-        rows.append((float(T), float(np.max(np.abs(got - want)))))
+        err = float(np.max(np.abs(got - want)))
+        if not math.isfinite(err):
+            side = "limit" if not np.all(np.isfinite(want)) else "flow"
+            raise ValueError(
+                f"T = {T!r}: the {side} value is not finite (chi = {chi!r}, gamma = {gamma!r})"
+            )
+        rows.append((float(T), err))
     return ConvergenceTable(
         parameter="T",
         rows=tuple(rows),
@@ -418,7 +439,10 @@ def verify_poten_family(
         dens = w.values[keep] * grid * grid  # 4 pi absorbed by normalization
         cdf = density_cdf(grid, dens)
         model_cdf = np.interp(grid, model.grid, model_cdf_grid)
-        rows.append((float(eps), float(np.max(np.abs(cdf - model_cdf)))))
+        dist = float(np.max(np.abs(cdf - model_cdf)))
+        if not math.isfinite(dist):
+            raise ValueError(f"eps = {eps!r}: the flow's marginal is not finite (gamma = {gamma!r})")
+        rows.append((float(eps), dist))
     return ConvergenceTable(
         parameter="eps",
         rows=tuple(rows),

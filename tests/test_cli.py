@@ -67,6 +67,23 @@ class TestKernelCommand:
         assert not (tmp_path / "kernel.json").exists()
 
 
+class TestOverflowPaths:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--gamma", "100", "--rho", "40", "--t", "1"],
+        ["marginal", "--gamma", "37.6", "--times", "0.5,1"],
+    ])
+    def test_stderr_is_one_error_line(self, tmp_path, argv):
+        # a real process, so numpy's RuntimeWarnings would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "polymer_lab.cli", *argv, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+
 class TestSpectralCommand:
     def test_summary_lines(self, tmp_path, capsys):
         code = main(["spectral", "--out", str(tmp_path)])
@@ -219,6 +236,19 @@ class TestVerifyCommands:
         payload = json.loads((tmp_path / "prop3.json").read_text())
         assert payload["parameter"] == "T"
         assert len(payload["rows"]) == 2
+
+    @pytest.mark.parametrize("chi,reason", [
+        ("40", "T = 25.0: the limit value is not finite"),  # kernel at gamma 49.3 overflows
+        ("1000", "Crank-Nicolson step"),  # beta = 201 at T = 25
+    ], ids=["limit-overflow", "cn-range"])
+    def test_non_finite_ladder_exits_1(self, tmp_path, capsys, chi, reason):
+        code = main(["verify-prop1", "--chi", chi, "--T", "25,100", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and reason in err
+        assert not list(tmp_path.glob("prop1.*"))
 
     def test_failed_verification_exits_2(self, tmp_path, capsys, monkeypatch):
         import polymer_lab.heatflow

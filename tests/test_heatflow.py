@@ -105,7 +105,7 @@ class TestGradedMesh:
         np.testing.assert_allclose(grid[:3], [0.0, h, 2.0 * h], rtol=0, atol=1e-15)
 
     def test_one_factorization_per_step_size(self, ball, monkeypatch):
-        calls = {"dgttrf": 0, "dgttrs": 0}
+        calls = {"dpttrf": 0, "dpttrs": 0}
 
         def counted(name):
             original = getattr(heatflow, name)
@@ -121,8 +121,48 @@ class TestGradedMesh:
         cfg = StepperConfig.auto_point_source(ball, 1.0, stops[-1])
         evolve_point_source(ball, 1.0, stops, cfg)
         startup = math.ceil(math.log(cfg.dt_max / cfg.dt0) / math.log(cfg.growth))
-        assert calls["dgttrf"] <= startup + len(stops) + 1
-        assert calls["dgttrf"] < calls["dgttrs"] / 5
+        assert calls["dpttrf"] <= startup + len(stops) + 1
+        assert calls["dpttrf"] < calls["dpttrs"] / 5
+
+    def test_cn_run_matches_dense_crank_nicolson(self, ball):
+        # the scheme, not the LAPACK routine: every step of the same schedule
+        # solved densely on the assembled M -/+ (dt/2) A
+        cfg = StepperConfig(L=4.0, h=0.02, dt0=0.01, growth=2.0, dt_max=0.04)
+        nodes = heatflow._mesh(ball, cfg)
+        r = nodes[1:-1]
+        assert 150 < r.size < 250
+        beta, bc_right, stops = 1.0, 0.5, [0.13, 0.3]
+        u0 = r * (1.0 + np.exp(-r * r))
+        got = heatflow._cn_run(ball, beta, nodes, u0, 0.0, stops, cfg, bc_right)
+
+        gaps = np.diff(nodes)
+        mass = np.diag(0.5 * (gaps[:-1] + gaps[1:]))
+        flux = 0.5 / gaps
+        q = beta * ball.cell_averages(0.5 * (nodes[:-1] + nodes[1:]))
+        a = (np.diag(q * np.diag(mass) - flux[:-1] - flux[1:])
+             + np.diag(flux[1:-1], 1) + np.diag(flux[1:-1], -1))
+        wall = np.zeros(r.size)
+        wall[-1] = flux[-1] * bc_right  # A's coupling to the Dirichlet value
+        u, t, dt, want, sizes = u0, 0.0, cfg.dt0, [], set()
+        for stop in stops:
+            while t < stop - 1e-13 * max(1.0, stop):
+                step = min(dt, stop - t)
+                sizes.add(step)
+                u = np.linalg.solve(mass - 0.5 * step * a,
+                                    (mass + 0.5 * step * a) @ u + step * wall)
+                t += step
+                dt = min(dt * cfg.growth, cfg.dt_max)
+            want.append(u)
+        assert len(sizes) >= 4  # start-up growth, dt_max and two clipped steps
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-12 * np.max(np.abs(w))
+
+    def test_step_beyond_crank_nicolson_range_raises(self, ball):
+        # the well's growth rate z/dt is about 45 at beta 50, so z/2 > 1: M -
+        # (dt/2) A is indefinite and the CN factor (1 + z/2)/(1 - z/2) is below -1
+        cfg = StepperConfig(L=8.0, h=0.05, t0=1e-3, dt0=0.1, growth=1.0, dt_max=0.1)
+        with pytest.raises(ValueError, match="Crank-Nicolson step 0.1 at beta = 50.0"):
+            evolve_point_source(ball, 50.0, [1.0], cfg)
 
 
 class TestConfigValidation:
