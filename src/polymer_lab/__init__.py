@@ -5,8 +5,8 @@ time integral (laplace; the Bromwich quadrature is a test oracle), the
 zero-range limit measures built from them (zerorange), exact
 transfer-matrix spectra of the well operator (spectral), Crank-Nicolson
 heat flows for the finite-size laws (heatflow), weighted Wiener ensembles
-under diffusive rescaling (montecarlo), and a CLI that orchestrates the
-verification suites (cli).
+whose diffusively rescaled marginals are scored by a weighted KS distance
+(montecarlo), and a CLI that orchestrates the verification suites (cli).
 """
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ from .zerorange import (
     fdd_density,
     marginal_radial,
     pbar,
-    sample_path,
     sample_paths,
     transition_R,
     transition_R0,
@@ -43,10 +42,7 @@ from .heatflow import (
 )
 from .montecarlo import (
     PathEnsemble,
-    WeightedECDF,
-    empirical_radial_marginal,
     ks_distance,
-    rescale_ensemble,
     sample_weighted_paths,
     verify_prop2,
     verify_theorem2,
@@ -74,7 +70,6 @@ __all__ = [
     "fdd_density",
     "marginal_radial",
     "pbar",
-    "sample_path",
     "sample_paths",
     "transition_R",
     "transition_R0",
@@ -86,10 +81,7 @@ __all__ = [
     "verify_prop1",
     "verify_prop3",
     "PathEnsemble",
-    "WeightedECDF",
-    "empirical_radial_marginal",
     "ks_distance",
-    "rescale_ensemble",
     "sample_weighted_paths",
     "verify_prop2",
     "verify_theorem2",

@@ -81,12 +81,6 @@ class RunConfig:
     out_dir: str
     steps: int
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["T_list"] = list(self.T_list)
-        d["times"] = list(self.times)
-        return d
-
 
 def load_potential(spec: str) -> RadialPotential:
     """Resolve a potential argument: preset ``ball(eps,gamma)`` or a CSV path.
@@ -271,10 +265,9 @@ def _cmd_sample(cfg: RunConfig):
 def _cmd_verify_heatflow(cfg: RunConfig):
     name = cfg.command.removeprefix("verify-")  # "prop1" or "prop3"
     v = load_potential(cfg.potential)
-    summary = spectral.compute_summary(v)
     # looked up per call so the module attribute can be swapped out
     verify = getattr(heatflow, f"verify_{name}")
-    table = verify(v, summary, cfg.chi, cfg.T_list, t=cfg.t)
+    table = verify(v, cfg.chi, cfg.T_list, t=cfg.t)
     paths = _write_report(cfg, name, asdict(table), (table.parameter, "error"), table.rows)
     lines = [f"T = {T!r}: sup error {e!r}" for T, e in table.rows]
     return _verdict(cfg, lines, table.strictly_decreasing), paths, lines
@@ -344,7 +337,7 @@ def run(cfg: RunConfig) -> int:
     for line in lines:
         print(line)
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "versions": {
             "polymer_lab": __version__,
             "numpy": np.__version__,

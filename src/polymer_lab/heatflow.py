@@ -41,7 +41,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from . import laplace, zerorange
 from .potentials import RadialPotential, scaled_ball_potential
 from .radial import density_cdf
-from .spectral import SpectralSummary, gamma_of_chi
+from .spectral import compute_summary, gamma_of_chi
 
 __all__ = [
     "StepperConfig",
@@ -60,6 +60,13 @@ __all__ = [
 # outer mesh spacing max(h, a r); a = 1e-3 keeps the free flow at t = 0.5
 # within 9.3e-5 of the heat kernel, a = 2e-3 moves it to 1.7e-4 (bound 2e-4)
 _SPACING_SLOPE = 1e-3
+
+# rescaled radii x at which the horizon ladders compare flow and limit
+_X_LIST = (0.25, 0.5, 1.0, 2.0)
+# coupling of the narrow-well family, and the radius out to which its
+# marginal CDF is formed
+_POTEN_BETA = 1.0
+_POTEN_R_MAX = 6.0
 
 
 class NonConvergedError(RuntimeError):
@@ -337,26 +344,28 @@ class ConvergenceTable:
 
 
 def _horizon_ladder(
-    summary: SpectralSummary, chi: float, T_list: Sequence[float], t: float,
-    x_list: Sequence[float], target, observe,
+    v: RadialPotential, chi: float, T_list: Sequence[float], t: float, target, observe,
 ) -> ConvergenceTable:
-    """Sup error over x_list, per horizon T, of a rescaled flow against its limit.
+    """Sup error over _X_LIST, per horizon T, of a rescaled flow against its limit.
 
     observe(beta, T, r) is the flow at beta = beta_cr + chi/sqrt(T), read at
-    r = x sqrt(T); target(gamma, x) is the zero-range limit.
+    r = x sqrt(T); target(summary, gamma, x) is the zero-range limit, which
+    is checked for finiteness before any flow runs.
     """
+    summary = compute_summary(v)
     gamma = gamma_of_chi(summary, chi)
-    xs = np.asarray(x_list, dtype=float)
-    want = target(gamma, xs)
+    xs = np.asarray(_X_LIST, dtype=float)
+    want = target(summary, gamma, xs)
+    if not np.all(np.isfinite(want)):
+        raise ValueError(f"the limit value is not finite (chi = {chi!r}, gamma = {gamma!r})")
     rows = []
     for T in T_list:
         beta = summary.beta_cr + chi / math.sqrt(T)
         got = observe(beta, T, xs * math.sqrt(T))
         err = float(np.max(np.abs(got - want)))
         if not math.isfinite(err):
-            side = "limit" if not np.all(np.isfinite(want)) else "flow"
             raise ValueError(
-                f"T = {T!r}: the {side} value is not finite (chi = {chi!r}, gamma = {gamma!r})"
+                f"T = {T!r}: the flow value is not finite (chi = {chi!r}, gamma = {gamma!r})"
             )
         rows.append((float(T), err))
     return ConvergenceTable(
@@ -368,45 +377,39 @@ def _horizon_ladder(
 
 def verify_prop3(
     v: RadialPotential,
-    summary: SpectralSummary,
     chi: float,
     T_list: Sequence[float] = (25.0, 100.0, 400.0),
     t: float = 1.0,
-    x_list: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    cfg: StepperConfig | None = None,
 ) -> ConvergenceTable:
     """Partition-function convergence Z_{beta(T), tT}(x sqrt(T)) -> Zbar_gamma,t(x).
 
-    Returns the sup error over x_list for each horizon T; the window
-    coupling is beta(T) = beta_cr + chi/sqrt(T).
+    Returns the sup error over x in (0.25, 0.5, 1, 2) for each horizon T;
+    the window coupling is beta(T) = beta_cr + chi/sqrt(T).
     """
     return _horizon_ladder(
-        summary, chi, T_list, t, x_list,
-        lambda gamma, xs: 1.0 + laplace.zbar_correction(gamma, xs, t) / xs,
-        lambda beta, T, r: evolve_partition(v, beta, [t * T], cfg)[0].interp(r),
+        v, chi, T_list, t,
+        lambda summary, gamma, xs: 1.0 + laplace.zbar_correction(gamma, xs, t) / xs,
+        lambda beta, T, r: evolve_partition(v, beta, [t * T])[0].interp(r),
     )
 
 
 def verify_prop1(
     v: RadialPotential,
-    summary: SpectralSummary,
     chi: float,
     T_list: Sequence[float] = (25.0, 100.0, 400.0),
     t: float = 1.0,
-    x_list: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    cfg: StepperConfig | None = None,
 ) -> ConvergenceTable:
     """Fundamental-solution convergence T p_{beta(T)}(tT, 0, x sqrt(T)) -> limit.
 
     The limit density is kappa psi(0) I_gamma(t, x)/x, with every factor
-    taken from the computed spectral summary and the closed form of the
-    kernel.
+    taken from v's spectral summary and the closed form of the kernel; the
+    sup error runs over x in (0.25, 0.5, 1, 2).
     """
     return _horizon_ladder(
-        summary, chi, T_list, t, x_list,
-        lambda gamma, xs: summary.kappa * summary.psi.at_origin
+        v, chi, T_list, t,
+        lambda summary, gamma, xs: summary.kappa * summary.psi.at_origin
         * laplace.kernel_closed_form(gamma, xs, t) / xs,
-        lambda beta, T, r: T * evolve_point_source(v, beta, [t * T], cfg)[0].interp(r),
+        lambda beta, T, r: T * evolve_point_source(v, beta, [t * T])[0].interp(r),
     )
 
 
@@ -414,16 +417,14 @@ def verify_poten_family(
     gamma: float,
     eps_list: Sequence[float] = (0.5, 0.25, 0.125),
     t: float = 1.0,
-    beta: float = 1.0,
-    r_max: float = 6.0,
-    cfg: StepperConfig | None = None,
 ) -> ConvergenceTable:
     """Zero-range limit of shrinking wells at fixed coupling and horizon.
 
-    For each eps, evolves the point source under the scaled well, forms the
-    one-time radial marginal at time t, and reports its Kolmogorov distance
-    to the zero-range marginal with coupling gamma.  Horizons t < 1 would
-    need the partition-function reweighting; t = 1 is the bare density.
+    For each eps, evolves the point source under the scaled well at
+    coupling 1, forms the one-time radial marginal at time t out to r = 6,
+    and reports its Kolmogorov distance to the zero-range marginal with
+    coupling gamma.  Horizons t < 1 would need the partition-function
+    reweighting; t = 1 is the bare density.
     """
     if t != 1.0:
         raise ValueError("only the t = 1 marginal is wired up; reweight externally")
@@ -433,8 +434,8 @@ def verify_poten_family(
     rows = []
     for eps in eps_list:
         v = scaled_ball_potential(eps, gamma)
-        [w] = evolve_point_source(v, beta, [t], cfg)
-        keep = w.grid <= r_max
+        [w] = evolve_point_source(v, _POTEN_BETA, [t])
+        keep = w.grid <= _POTEN_R_MAX
         grid = w.grid[keep]
         dens = w.values[keep] * grid * grid  # 4 pi absorbed by normalization
         cdf = density_cdf(grid, dens)
@@ -446,5 +447,5 @@ def verify_poten_family(
     return ConvergenceTable(
         parameter="eps",
         rows=tuple(rows),
-        meta={"gamma": gamma, "t": t, "beta": beta},
+        meta={"gamma": gamma, "t": t, "beta": _POTEN_BETA},
     )

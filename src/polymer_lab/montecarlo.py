@@ -1,4 +1,4 @@
-"""Weighted Brownian ensembles and the diffusive-rescaling checks.
+"""Weighted Brownian ensembles and the Monte Carlo verdicts scored on them.
 
 Self-normalized importance sampling from the Wiener measure: each path
 carries a Gibbs weight e^{beta * trapezoid(v along path)}, the partition
@@ -18,6 +18,10 @@ evaluates v only at the points inside its support; the draws, positions
 and weights are bit-for-bit the same whatever the block size or the core
 count.  Positions are recorded only at the requested record times; weights
 always accumulate over the full step grid.
+
+The verdicts read a recorded time's positions straight from the ensemble's
+array, rescale them diffusively by 1/sqrt(T), and score the weighted radii
+against a model CDF with ks_distance.
 """
 
 from __future__ import annotations
@@ -34,15 +38,11 @@ from . import spectral, zerorange
 from .laplace import kernel_closed_form
 from .potentials import RadialPotential
 from .radial import gauss_sphere_integral, wiener_radial_cdf
-from .spectral import SpectralSummary
 from .zerorange import ZeroRangeParams
 
 __all__ = [
     "PathEnsemble",
-    "WeightedECDF",
     "sample_weighted_paths",
-    "rescale_ensemble",
-    "empirical_radial_marginal",
     "ks_distance",
     "Theorem2Report",
     "verify_theorem2",
@@ -62,6 +62,9 @@ _BLOCK_PATHS_MAX = 64
 # too short a GIL-free call for a second worker to gain more than the GIL
 # hand-overs cost (measured at 50-100 steps, break-even near 200).
 _THREADED_MIN_STEPS = 200
+
+# a Theorem-2 pass needs the largest horizon's KS below this at every time
+_KS_THRESHOLD = 0.05
 
 _THRESHOLD_NOTE = (
     "KS thresholds and T schedules are engineering choices; no convergence "
@@ -135,11 +138,6 @@ class PathEnsemble:
     @property
     def ess_ratio(self) -> float:
         return self.ess / self.n_paths
-
-
-def _normalized_weights(log_weights: np.ndarray) -> np.ndarray:
-    w = np.exp(log_weights - log_weights.max())
-    return w / w.sum()
 
 
 def _usable_cores() -> int:
@@ -281,107 +279,29 @@ def _simulate_block(
     positions[lo:hi] = path[:m, :, rec_idx].transpose(0, 2, 1)
 
 
-def rescale_ensemble(e: PathEnsemble) -> PathEnsemble:
-    """Diffusive rescaling onto [0, 1]: path(t) -> path(t T) / sqrt(T).
+def ks_distance(samples, log_weights, model_cdf) -> float:
+    """sup over the samples of |weighted ECDF - model CDF|, both one-sided limits.
 
-    Weights are untouched; only the coordinates and the clock change.
+    Sample i carries the self-normalized weight e^{log_weights[i]}; the ECDF
+    is right-continuous, and tied samples keep their input order.
     """
-    s = math.sqrt(e.T)
-    with warnings.catch_warnings():
-        # the ESS is invariant under rescaling; no point warning twice
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return PathEnsemble(
-            times=e.times / e.T,
-            positions=e.positions / s,
-            log_weights=e.log_weights,
-            T=1.0,
-            dt=e.dt / e.T,
-            beta=e.beta,
-            seed=e.seed,
-        )
-
-
-@dataclass(frozen=True)
-class WeightedECDF:
-    """Right-continuous weighted empirical CDF.
-
-    values sorted ascending; cum is the normalized cumulative weight, so
-    evaluate(x) = cum[k] with k the last sample <= x.
-    """
-
-    values: np.ndarray
-    cum: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        cum = np.asarray(self.cum, dtype=float)
-        if vals.ndim != 1 or cum.shape != vals.shape or vals.size == 0:
-            raise ValueError("values and cum must be matching 1-d arrays")
-        if np.any(np.diff(vals) < 0.0):
-            raise ValueError("values must be sorted")
-        if np.any(np.diff(cum) < -1e-15) or abs(cum[-1] - 1.0) > 1e-12:
-            raise ValueError("cum must be non-decreasing and end at 1")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cum", cum)
-
-    @classmethod
-    def from_samples(cls, samples, weights=None) -> "WeightedECDF":
-        samples = np.asarray(samples, dtype=float)
-        if weights is None:
-            weights = np.ones_like(samples)
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != samples.shape or np.any(weights < 0.0):
-            raise ValueError("weights must be non-negative, same shape as samples")
-        tot = weights.sum()
-        if not (tot > 0.0 and np.isfinite(tot)):
-            raise ValueError("total weight must be positive and finite")
-        order = np.argsort(samples, kind="stable")
-        cum = np.cumsum(weights[order]) / tot
-        cum[-1] = 1.0
-        return cls(values=samples[order], cum=cum)
-
-    @classmethod
-    def from_log_weights(cls, samples, log_weights) -> "WeightedECDF":
-        return cls.from_samples(samples, _normalized_weights(np.asarray(log_weights)))
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.values, x, side="right")
-        out = np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    __call__ = evaluate
-
-
-def empirical_radial_marginal(e: PathEnsemble, t: float) -> WeightedECDF:
-    """Weighted ECDF of |path(t)| for a recorded time t."""
-    hits = np.flatnonzero(np.abs(e.times - t) <= 1e-9 * max(1.0, e.T))
-    if hits.size == 0:
-        raise ValueError(
-            f"t = {t!r} is not a recorded time; recorded grid spans "
-            f"[{e.times[0]:g}, {e.times[-1]:g}] in {e.times.size} points"
-        )
-    pos = e.positions[:, hits[0], :]
-    radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-    if e.ess_warning:
-        warnings.warn(
-            f"marginal extracted from an ensemble with ESS ratio "
-            f"{e.ess_ratio:.2e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return WeightedECDF.from_log_weights(radii, e.log_weights)
-
-
-def ks_distance(a: WeightedECDF, model_cdf) -> float:
-    """sup over sample points of |ECDF - model CDF|, both one-sided limits."""
-    m = np.asarray(model_cdf(a.values), dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    lw = np.asarray(log_weights, dtype=float)
+    if samples.ndim != 1 or samples.size == 0 or lw.shape != samples.shape:
+        raise ValueError("samples and log_weights must be matching non-empty 1-d arrays")
+    top = lw.max()
+    if not math.isfinite(top):
+        raise ValueError(f"the largest log-weight must be finite, got {top!r}")
+    w = np.exp(lw - top)
+    w = w / w.sum()
+    order = np.argsort(samples, kind="stable")
+    cum = np.cumsum(w[order]) / w.sum()
+    cum[-1] = 1.0
+    m = np.asarray(model_cdf(samples[order]), dtype=float)
     if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
         raise ValueError("model_cdf must map into [0, 1]")
-    lo = np.concatenate(([0.0], a.cum[:-1]))
-    d = float(max(np.max(np.abs(a.cum - m)), np.max(np.abs(lo - m))))
+    lo = np.concatenate(([0.0], cum[:-1]))
+    d = float(max(np.max(np.abs(cum - m)), np.max(np.abs(lo - m))))
     return min(d, 1.0)
 
 
@@ -392,6 +312,22 @@ def ks_distance(a: WeightedECDF, model_cdf) -> float:
 
 def _derived_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(k))).generate_state(1)[0])
+
+
+def _window(v: RadialPotential, chi: float, T_list) -> tuple[list, float, float]:
+    """The drivers' prologue: the checked horizons, beta_cr and gamma = c chi."""
+    T_list = [float(T) for T in T_list]
+    if not T_list or sorted(T_list) != T_list:
+        raise ValueError("T_list must be non-empty and increasing")
+    summary = spectral.compute_summary(v)
+    return T_list, summary.beta_cr, spectral.gamma_of_chi(summary, chi)
+
+
+def _sample_quietly(*args, **kwargs) -> PathEnsemble:
+    """sample_weighted_paths without its ESS warning; the drivers report ESS."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return sample_weighted_paths(*args, **kwargs)
 
 
 def _weight_moment_exponent(v: RadialPotential, beta: float, horizon: float) -> float:
@@ -433,8 +369,6 @@ def verify_theorem2(
     dt: float = 0.01,
     beta_override: float | None = None,
     model: str = "limit",
-    ks_threshold: float = 0.05,
-    summary: SpectralSummary | None = None,
 ) -> Theorem2Report:
     """Convergence of rescaled marginals to the zero-range law.
 
@@ -444,7 +378,7 @@ def verify_theorem2(
     zero-range marginal with gamma = c * chi by default, or the Wiener
     radial law with model="wiener".  Passing means every t shows a KS
     decrease from the smallest to the largest horizon and the largest
-    horizon lands under ks_threshold.  ESS collapse (ratio below 1%) on
+    horizon lands under 0.05.  ESS collapse (ratio below 1%) on
     any horizon makes the verdict inconclusive ("realized_ess"), and so does
     a predicted collapse ("predicted_moment"): a weight second moment more
     than 1/1% = 100 times the squared mean, which a realized sample can hide
@@ -453,10 +387,8 @@ def verify_theorem2(
     """
     if model not in ("limit", "wiener"):
         raise ValueError(f"model must be 'limit' or 'wiener', got {model!r}")
-    T_list = [float(T) for T in T_list]
+    T_list, beta_cr, gamma = _window(v, chi, T_list)
     times = [float(t) for t in times]
-    if not T_list or sorted(T_list) != T_list:
-        raise ValueError("T_list must be non-empty and increasing")
     if not times or any(not 0.0 < t <= 1.0 for t in times):
         raise ValueError("times must lie in (0, 1]")
     for T in T_list:
@@ -467,9 +399,6 @@ def verify_theorem2(
                     f"t = {t!r} at T = {T!r} snaps to recorded time 0 on the "
                     f"dt = {dt!r} grid; need t * T > dt / 2"
                 )
-    if summary is None:
-        summary = spectral.compute_summary(v)
-    gamma = spectral.gamma_of_chi(summary, chi)
 
     model_cdfs = {}
     for t in times:
@@ -484,20 +413,20 @@ def verify_theorem2(
     ess = {}
     reasons = {}
     for k, T in enumerate(T_list):
-        beta = beta_override if beta_override is not None else summary.beta_cr + chi / math.sqrt(T)
-        rec = sorted({round(t * T / dt) * dt for t in times})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            e = sample_weighted_paths(
-                v, beta, T, dt, n, _derived_seed(seed, k), record_times=rec
-            )
-            ess[T] = e.ess
-            if e.ess_ratio < _ESS_FLOOR:
-                reasons[T] = "realized_ess"
-            r = rescale_ensemble(e)
-            for t in times:
-                g = empirical_radial_marginal(r, round(t * T / dt) * dt / T)
-                rows.append((T, t, ks_distance(g, model_cdfs[t])))
+        beta = beta_override if beta_override is not None else beta_cr + chi / math.sqrt(T)
+        # each time's step index, and the sorted distinct ones the sampler records
+        idx = [round(t * T / dt) for t in times]
+        rec = sorted(set(idx))
+        e = _sample_quietly(
+            v, beta, T, dt, n, _derived_seed(seed, k), record_times=[i * dt for i in rec]
+        )
+        ess[T] = e.ess
+        if e.ess_ratio < _ESS_FLOOR:
+            reasons[T] = "realized_ess"
+        for t, i in zip(times, idx):
+            pos = e.positions[:, rec.index(i), :] / math.sqrt(T)
+            radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
+            rows.append((T, t, ks_distance(radii, e.log_weights, model_cdfs[t])))
         if T not in reasons and _weight_moment_exponent(v, beta, T) > -math.log(_ESS_FLOOR):
             reasons[T] = "predicted_moment"
 
@@ -506,7 +435,7 @@ def verify_theorem2(
     for t in times:
         ks_by_T = [ks for (T, tt, ks) in rows if tt == t]
         decreasing = ks_by_T[-1] < ks_by_T[0]
-        below = ks_by_T[-1] < ks_threshold
+        below = ks_by_T[-1] < _KS_THRESHOLD
         per_time[t] = {"decreasing": decreasing, "final_below": below}
         ok = ok and decreasing and below
     return Theorem2Report(
@@ -520,7 +449,7 @@ def verify_theorem2(
             "seed": seed,
             "model": model,
             "beta_override": beta_override,
-            "ks_threshold": ks_threshold,
+            "ks_threshold": _KS_THRESHOLD,
         },
         ess=ess,
         table=rows,
@@ -555,7 +484,6 @@ def verify_prop2(
     n: int,
     seed: int,
     dt: float = 0.01,
-    summary: SpectralSummary | None = None,
 ) -> Prop2Report:
     """Off-origin partition functionals against the first-order kernel expansion.
 
@@ -574,31 +502,23 @@ def verify_prop2(
     for n paths to resolve even in principle ("predicted_moment").  The
     report keeps the first of these reasons per horizon.
     """
-    T_list = [float(T) for T in T_list]
-    if not T_list or sorted(T_list) != T_list:
-        raise ValueError("T_list must be non-empty and increasing")
+    T_list, beta_cr, gamma = _window(v, chi, T_list)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (3,) or not 0.0 < float(np.linalg.norm(y0)) < np.inf:
         raise ValueError("y0 must be a finite nonzero point; |y| scales as sqrt(T)|y0|")
-    if summary is None:
-        summary = spectral.compute_summary(v)
-    gamma = spectral.gamma_of_chi(summary, chi)
 
     rows = []
     reasons = {}
     for k, T in enumerate(T_list):
-        beta = summary.beta_cr + chi / math.sqrt(T)
+        beta = beta_cr + chi / math.sqrt(T)
         y = math.sqrt(T) * y0
         ry = float(np.linalg.norm(y))
         tau = round(t * T / dt) * dt
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            e = sample_weighted_paths(
-                v, beta, tau, dt, n, _derived_seed(seed, k),
-                start=y, record_times=[tau],
-            )
+        e = _sample_quietly(
+            v, beta, tau, dt, n, _derived_seed(seed, k), start=y, record_times=[tau]
+        )
         pos = e.positions[:, -1, :]
         radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         vals = e.weights * np.asarray(f(radii / math.sqrt(T)), dtype=float)

@@ -38,7 +38,6 @@ __all__ = [
     "transition_R0",
     "marginal_radial",
     "pbar_sphere_mean",
-    "sample_path",
     "sample_paths",
 ]
 
@@ -402,26 +401,14 @@ def _check_steps(n_steps: int) -> int:
     return int(n_steps)
 
 
-def sample_path(
-    p: ZeroRangeParams, n_steps: int, seed: int, path_index: int = 0
-) -> np.ndarray:
-    """One radial bridge path at times k / n_steps, k = 0 .. n_steps.
-
-    Deterministic in (seed, path_index): the draw stream is spawned from
-    SeedSequence(seed) at the given index, so row i of
-    :func:`sample_paths` is exactly ``sample_path(..., path_index=i)``.
-    """
-    n_steps = _check_steps(n_steps)
-    tab = _tables(p, n_steps)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(path_index),))
-    u = np.random.Generator(np.random.PCG64(ss)).random(n_steps)
-    return _walk(tab, u[None, :])[0]
-
-
 def sample_paths(
     p: ZeroRangeParams, n_steps: int, n_paths: int, seed: int
 ) -> np.ndarray:
-    """Radial bridge paths, shape (n_paths, n_steps + 1), per-path streams."""
+    """Radial bridge paths at times k / n_steps, shape (n_paths, n_steps + 1).
+
+    Path i draws from the i-th stream spawned off SeedSequence(seed), so it
+    is deterministic in (seed, i) alone, whatever n_paths is.
+    """
     n_steps = _check_steps(n_steps)
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")

@@ -176,25 +176,25 @@ def test_criterion_05_kernel_identities():
     assert time.monotonic() - started < 60.0
 
 
-def test_criterion_06_density_convergence(ball, ball_summary):
+def test_criterion_06_density_convergence(ball):
     for chi in (0.0, 1.0):
-        table = heatflow.verify_prop1(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
+        table = heatflow.verify_prop1(ball, chi, T_list=(25.0, 100.0, 400.0))
         assert table.strictly_decreasing, (chi, table.rows)
 
 
-def test_criterion_07_partition_convergence(ball, ball_summary):
+def test_criterion_07_partition_convergence(ball):
     for chi in (0.0, 1.0):
-        table = heatflow.verify_prop3(ball, ball_summary, chi, T_list=(25.0, 100.0, 400.0))
+        table = heatflow.verify_prop3(ball, chi, T_list=(25.0, 100.0, 400.0))
         assert table.strictly_decreasing, (chi, table.rows)
 
 
 @pytest.fixture(scope="module")
-def literal_sweep_reports(ball, ball_summary):
+def literal_sweep_reports(ball):
     reports = {}
     for k, chi in enumerate((0.0, 2.0)):
         reports[chi] = montecarlo.verify_theorem2(
             ball, chi, (25.0, 100.0, 400.0), (0.5, 1.0),
-            n=50_000, seed=k, summary=ball_summary,
+            n=50_000, seed=k,
         )
     return reports
 
@@ -224,14 +224,14 @@ def test_criterion_08_path_measure_literal_pass(literal_sweep_reports):
         assert rep.passed is True, chi
 
 
-def test_criterion_08_path_measure_subcritical_control(ball, ball_summary):
+def test_criterion_08_path_measure_subcritical_control(ball):
     started = time.monotonic()
     # doubled coupling still below beta_cr keeps the weights tame, and
     # against the exact Wiener law the KS ladder must both shrink and
     # land under threshold
     rep = montecarlo.verify_theorem2(
         ball, 0.0, (25.0, 100.0, 400.0), (0.5, 1.0),
-        n=20_000, seed=0, beta_override=0.4, model="wiener", summary=ball_summary,
+        n=20_000, seed=0, beta_override=0.4, model="wiener",
     )
     assert not rep.inconclusive
     assert rep.passed is True

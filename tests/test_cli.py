@@ -238,8 +238,8 @@ class TestVerifyCommands:
         assert len(payload["rows"]) == 2
 
     @pytest.mark.parametrize("chi,reason", [
-        ("40", "T = 25.0: the limit value is not finite"),  # kernel at gamma 49.3 overflows
-        ("1000", "Crank-Nicolson step"),  # beta = 201 at T = 25
+        ("40", "the limit value is not finite (chi = 40.0"),  # kernel at gamma 49.3 overflows
+        ("1000", "the limit value is not finite (chi = 1000.0"),  # nan kernel at gamma 1233.7
     ], ids=["limit-overflow", "cn-range"])
     def test_non_finite_ladder_exits_1(self, tmp_path, capsys, chi, reason):
         code = main(["verify-prop1", "--chi", chi, "--T", "25,100", "--out", str(tmp_path)])

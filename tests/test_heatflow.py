@@ -184,20 +184,29 @@ class TestConfigValidation:
 
 
 class TestReports:
-    def test_prop3_table(self, ball, ball_summary):
-        tab = verify_prop3(ball, ball_summary, 1.0, T_list=(9.0, 25.0))
+    def test_prop3_table(self, ball):
+        tab = verify_prop3(ball, 1.0, T_list=(9.0, 25.0))
         assert tab.parameter == "T"
         assert [row[0] for row in tab.rows] == [9.0, 25.0]
         assert tab.errors == [row[1] for row in tab.rows]
         assert tab.strictly_decreasing
         assert {"chi", "gamma", "t", "x_list"} <= set(tab.meta)
 
-    def test_prop1_table(self, ball, ball_summary):
-        tab = verify_prop1(ball, ball_summary, 0.5, T_list=(9.0, 25.0))
+    def test_prop1_table(self, ball):
+        tab = verify_prop1(ball, 0.5, T_list=(9.0, 25.0))
         assert tab.parameter == "T"
         assert len(tab.rows) == 2
         assert tab.strictly_decreasing
         assert all(err > 0.0 for err in tab.errors)
+
+    def test_non_finite_limit_raises_before_any_flow(self, ball, monkeypatch):
+        # at chi 40 (gamma 49.3) the limit kernel overflows; the T-independent
+        # limit is checked before the first horizon's flow would run
+        calls = []
+        monkeypatch.setattr(heatflow, "evolve_point_source", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"the limit value is not finite \(chi = 40\.0"):
+            verify_prop1(ball, 40.0, T_list=(25.0, 100.0))
+        assert calls == []
 
     def test_poten_family_table(self):
         tab = verify_poten_family(0.5, eps_list=(0.5, 0.25))

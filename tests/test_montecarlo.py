@@ -22,11 +22,8 @@ from polymer_lab.cli import _write_csv, _write_json
 from polymer_lab.montecarlo import (
     PathEnsemble,
     Theorem2Report,
-    WeightedECDF,
     _derived_seed,
-    empirical_radial_marginal,
     ks_distance,
-    rescale_ensemble,
     sample_weighted_paths,
     verify_prop2,
     verify_theorem2,
@@ -48,8 +45,8 @@ class TestSampler:
         assert not free_ensemble.ess_warning
 
     def test_free_terminal_radius(self, free_ensemble):
-        ecdf = empirical_radial_marginal(free_ensemble, 1.0)
-        ks = ks_distance(ecdf, lambda r: wiener_radial_cdf(r, 1.0))
+        radii = np.linalg.norm(free_ensemble.positions[:, -1, :], axis=1)
+        ks = ks_distance(radii, free_ensemble.log_weights, lambda r: wiener_radial_cdf(r, 1.0))
         assert ks < 0.025
 
     def test_seed_reproducibility(self, ball):
@@ -156,64 +153,51 @@ class TestSampler:
 
 class TestRescale:
     def test_rescaling_is_exact(self, ball):
-        e = sample_weighted_paths(
-            ball, 0.4, 4.0, 0.01, 1000, seed=8, record_times=[1.0, 2.0, 4.0]
+        # the verdict scores each time's recorded positions divided by
+        # sqrt(T), with the weights untouched, at the snapped step index
+        rep = verify_theorem2(
+            ball, 0.0, (4.0,), (0.5, 1.0), n=1000, seed=8,
+            beta_override=0.4, model="wiener",
         )
-        r = rescale_ensemble(e)
-        assert r.T == 1.0
-        assert r.dt == pytest.approx(0.0025)
-        assert np.array_equal(r.times, np.array([0.25, 0.5, 1.0]))
-        assert np.array_equal(r.positions, e.positions / 2.0)
-        assert np.array_equal(r.log_weights, e.log_weights)
-        assert r.beta == e.beta and r.seed == e.seed
-
-    def test_rescaling_commutes_with_marginal(self, ball):
-        # the diffusive map r -> r / sqrt(T) on radii, t -> t / T on
-        # times, with weights untouched
         e = sample_weighted_paths(
-            ball, 0.4, 4.0, 0.01, 1000, seed=8, record_times=[2.0]
+            ball, 0.4, 4.0, 0.01, 1000, seed=_derived_seed(8, 0), record_times=[2.0, 4.0]
         )
-        r = rescale_ensemble(e)
-        raw = empirical_radial_marginal(e, 2.0)
-        scaled = empirical_radial_marginal(r, 0.5)
-        probes = np.linspace(0.0, 3.0, 50)
-        assert np.array_equal(scaled.evaluate(probes), raw.evaluate(2.0 * probes))
+        for j, t in enumerate((0.5, 1.0)):
+            radii = np.linalg.norm(e.positions[:, j, :] / 2.0, axis=1)
+            want = ks_distance(radii, e.log_weights, lambda r, t=t: wiener_radial_cdf(r, t))
+            assert rep.table[j] == (4.0, t, want)
 
 
 class TestWeightedECDF:
+    """The self-normalized weighted ECDF that ks_distance scores."""
+
     def test_known_distance(self):
-        e = WeightedECDF.from_samples(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        ks = ks_distance(e, lambda r: np.clip(np.asarray(r) / 4.0, 0.0, 1.0))
+        ks = ks_distance(
+            np.array([1.0, 2.0, 3.0]), np.zeros(3),
+            lambda r: np.clip(np.asarray(r) / 4.0, 0.0, 1.0),
+        )
         assert ks == pytest.approx(0.25, abs=1e-12)
 
-    def test_right_continuous_steps(self):
-        e = WeightedECDF.from_samples(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        got = e.evaluate(np.array([0.5, 1.0, 1.5, 3.0, 5.0]))
-        want = np.array([0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0, 1.0])
-        assert np.allclose(got, want, atol=1e-12)
-
     def test_log_weight_construction(self):
-        samples = np.array([1.0, 2.0])
-        e = WeightedECDF.from_log_weights(samples, np.array([0.0, math.log(3.0)]))
-        # atom masses 1/4 and 3/4
-        assert e.evaluate(np.array([1.0, 2.0])) == pytest.approx([0.25, 1.0])
+        # atom masses 1/4 at r = 1 and 3/4 at r = 2, whatever the input
+        # order; against model values 0.1 and 0.95 the largest gap is the
+        # ECDF's left limit 1/4 at r = 2 (equal masses would give 0.45,
+        # swapped ones 0.65)
+        ks = ks_distance(
+            np.array([2.0, 1.0]), np.array([math.log(3.0), 0.0]),
+            lambda r: np.where(np.asarray(r) < 1.5, 0.1, 0.95),
+        )
+        assert ks == pytest.approx(0.7, abs=1e-12)
 
     def test_degenerate_weights_rejected(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ValueError, match="total weight"):
-                WeightedECDF.from_log_weights(
-                    np.array([1.0, 2.0]), np.array([-np.inf, -np.inf])
-                )
-        with pytest.raises(ValueError, match="non-negative"):
-            WeightedECDF.from_samples(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="log-weight must be finite"):
+            ks_distance(np.array([1.0, 2.0]), np.array([-np.inf, -np.inf]), lambda r: r)
+        with pytest.raises(ValueError, match="matching"):
+            ks_distance(np.array([1.0, 2.0]), np.zeros(3), lambda r: r)
 
     def test_model_cdf_range_checked(self):
-        e = WeightedECDF.from_samples(np.array([1.0, 2.0]), np.ones(2))
         with pytest.raises(ValueError, match="model_cdf"):
-            ks_distance(e, lambda r: 2.0 * np.asarray(r))
+            ks_distance(np.array([1.0, 2.0]), np.zeros(2), lambda r: 2.0 * np.asarray(r))
 
 
 class TestEnsembleIO:
@@ -249,10 +233,10 @@ class TestDerivedSeeds:
 
 
 class TestTheorem2Verdicts:
-    def test_exact_model_control_passes(self, ball, ball_summary):
+    def test_exact_model_control_passes(self, ball):
         rep = verify_theorem2(
             ball, 0.0, (4.0, 16.0), (0.5, 1.0), n=2000, seed=4,
-            beta_override=0.0, model="wiener", summary=ball_summary,
+            beta_override=0.0, model="wiener",
         )
         assert rep.passed is True
         assert not rep.inconclusive
@@ -262,21 +246,21 @@ class TestTheorem2Verdicts:
             assert flags["decreasing"] and flags["final_below"]
         assert rep.params["model"] == "wiener"
 
-    def test_collapsed_run_is_inconclusive(self, ball, ball_summary):
+    def test_collapsed_run_is_inconclusive(self, ball):
         rep = verify_theorem2(
-            ball, 2.0, (25.0,), (1.0,), n=2000, seed=3, summary=ball_summary
+            ball, 2.0, (25.0,), (1.0,), n=2000, seed=3
         )
         assert rep.inconclusive
         assert rep.passed is None
         assert rep.ess[25.0] < 0.01 * 2000
         assert rep.inconclusive_reasons == {25.0: "realized_ess"}
 
-    def test_predicted_collapse_is_inconclusive(self, ball, ball_summary):
+    def test_predicted_collapse_is_inconclusive(self, ball):
         # at chi = 0 and T = 25 the weights' second moment grows like
         # e^{lam(2) 25} ~ e^11, far past 1/ESS floor; this seed's realized
         # ESS stays above the floor, so only the prediction catches it
         rep = verify_theorem2(
-            ball, 0.0, (9.0, 25.0), (0.5, 1.0), n=8000, seed=0, summary=ball_summary
+            ball, 0.0, (9.0, 25.0), (0.5, 1.0), n=8000, seed=0
         )
         assert rep.inconclusive
         assert rep.passed is None
@@ -310,29 +294,27 @@ class TestTheorem2Verdicts:
         assert payload["table"] == [[4.0, 1.0, 0.02]]
         assert payload["per_time"] == {"1.0": {"decreasing": True, "final_below": True}}
 
-    def test_argument_validation(self, ball, ball_summary):
+    def test_argument_validation(self, ball):
         with pytest.raises(ValueError, match="model"):
             verify_theorem2(ball, 0.0, (4.0,), (1.0,), n=1000, seed=0,
-                            model="exact", summary=ball_summary)
+                            model="exact")
         with pytest.raises(ValueError, match="T_list"):
-            verify_theorem2(ball, 0.0, (16.0, 4.0), (1.0,), n=1000, seed=0,
-                            summary=ball_summary)
+            verify_theorem2(ball, 0.0, (16.0, 4.0), (1.0,), n=1000, seed=0)
         with pytest.raises(ValueError, match="times"):
-            verify_theorem2(ball, 0.0, (4.0,), (1.5,), n=1000, seed=0,
-                            summary=ball_summary)
+            verify_theorem2(ball, 0.0, (4.0,), (1.5,), n=1000, seed=0)
         # t T = 0.001 < dt / 2 would record the point mass at the start and
         # report KS = 1 rows as a failed verdict
         with pytest.raises(ValueError, match=r"t = 0\.001 at T = 1\.0"):
             verify_theorem2(ball, 0, [1, 4], [0.001, 1], n=1000, seed=0,
-                            beta_override=0.4, model="wiener", summary=ball_summary)
+                            beta_override=0.4, model="wiener")
 
 
 class TestPartitionFunctionalSweep:
-    def test_conclusive_sweep(self, ball, ball_summary):
+    def test_conclusive_sweep(self, ball):
         f = lambda r: np.exp(-np.asarray(r) ** 2 / 2.0)
         rep = verify_prop2(
             ball, 0.5, (9.0, 25.0), 1.0, (0.5, 0.0, 0.0), f,
-            n=2000, seed=7, summary=ball_summary,
+            n=2000, seed=7,
         )
         assert not rep.inconclusive
         assert rep.gaps_decreasing
@@ -346,19 +328,19 @@ class TestPartitionFunctionalSweep:
         ]
         assert rep.inconclusive_reasons == {}
 
-    def test_gap_at_noise_floor_is_inconclusive(self, ball, ball_summary):
+    def test_gap_at_noise_floor_is_inconclusive(self, ball):
         # by T = 16 the true gap has shrunk below this n's standard
         # error, so no decrease can be certified
         f = lambda r: np.exp(-np.asarray(r) ** 2 / 2.0)
         rep = verify_prop2(
             ball, 0.5, (9.0, 16.0), 1.0, (0.5, 0.0, 0.0), f,
-            n=2000, seed=7, summary=ball_summary,
+            n=2000, seed=7,
         )
         assert rep.inconclusive
         assert rep.inconclusive_reasons == {16.0: "standard_error"}
 
-    def test_start_point_validated(self, ball, ball_summary):
+    def test_start_point_validated(self, ball):
         f = lambda r: np.asarray(r)
         with pytest.raises(ValueError, match="y0"):
             verify_prop2(ball, 0.5, (9.0,), 1.0, (0.0, 0.0, 0.0), f,
-                         n=1000, seed=0, summary=ball_summary)
+                         n=1000, seed=0)

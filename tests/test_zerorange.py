@@ -33,7 +33,6 @@ from polymer_lab.zerorange import (
     marginal_radial,
     pbar,
     pbar_sphere_mean,
-    sample_path,
     sample_paths,
     transition_R,
     transition_R0,
@@ -292,8 +291,6 @@ class TestSampler:
         b = sample_paths(p, 8, 200, seed=2)
         assert np.array_equal(a, b)
         assert a.shape == (200, 9)
-        for i in (0, 7, 199):
-            assert np.array_equal(sample_path(p, 8, 2, path_index=i), a[i])
         # path i does not depend on how many siblings were drawn
         assert np.array_equal(sample_paths(p, 8, 20, seed=2), a[:20])
 
