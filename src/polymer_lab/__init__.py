@@ -3,9 +3,10 @@
 Six pieces, one pipeline: closed forms of the interaction kernel and its
 time integral (laplace; the Bromwich quadrature is a test oracle), the
 zero-range limit measures built from them (zerorange), exact
-transfer-matrix spectra of the well operator (spectral), Crank-Nicolson
-heat flows for the finite-size laws (heatflow), weighted Wiener ensembles
-whose diffusively rescaled marginals are scored by a weighted KS distance
+transfer-matrix spectra of the well operator (spectral), heat flows for
+the finite-size laws inverted from the exact per-cell resolvent (heatflow;
+Crank-Nicolson is a test oracle), weighted Wiener ensembles whose
+diffusively rescaled marginals are scored by a weighted KS distance
 (montecarlo), and a CLI that orchestrates the verification suites (cli).
 """
 
@@ -33,7 +34,6 @@ from .zerorange import (
     zbar,
 )
 from .heatflow import (
-    StepperConfig,
     evolve_partition,
     evolve_point_source,
     verify_poten_family,
@@ -74,7 +74,6 @@ __all__ = [
     "transition_R",
     "transition_R0",
     "zbar",
-    "StepperConfig",
     "evolve_partition",
     "evolve_point_source",
     "verify_poten_family",

@@ -332,7 +332,8 @@ def run(cfg: RunConfig) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             code, outputs, lines = _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError, MemoryError, GridExhaustionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no message; its type is the message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for line in lines:
         print(line)

@@ -1,32 +1,40 @@
 """Radial heat semigroup with a potential: e^{t((1/2) Lap + beta v)}.
 
-Two objects are evolved, both through the substitution u = r f that turns
-the radial operator into a flat 1-d one on (0, L) with Dirichlet walls:
+Two objects are evolved, both from the exact resolvent (lam - L)^{-1} of
+L = (1/2) Lap + beta v:
 
-  * the fundamental solution p(t, 0, y) started from a point source at the
-    origin (regularized by a short free flight t0, with the first-order
-    potential factor e^{beta v t0} applied to cut the startup bias), and
-  * the partition function Z(t, y), started from the exact initial state
-    Z = 1 with the boundary held at 1 where the potential cannot reach.
+  * the fundamental solution p(t, 0, r) started from a point source at the
+    origin, and
+  * the partition function Z(t, r) = E^r[exp(beta int_0^t v(B_s) ds)].
 
-Space is a graded finite-volume mesh: spacing h out to 1.5 times the
-well's support (uniform first cells, so the origin value extrapolates from
-u(h), u(2h)), then max(h, a r) with a = 1e-3 out to L, where the profile
-spreads over r ~ sqrt(t).  A T = 400 point-source run on the unit ball
-needs 4,729 nodes against 41,489 on a uniform grid of the same h.
+In u = r f the radial operator is (1/2) u'' + beta v u, and v is constant
+on each cell of its grid, so u'' = k^2 u with k^2 = 2 (lam - beta v_k) has
+an exact cosh/sinh solution on every cell.  Two solutions are carried
+across the cells for each lam: phi from phi(0) = 0, phi'(0) = 1 outward,
+and the decaying psi from psi(R) = 1, psi'(R) = -sqrt(2 lam) inward;
+outside the well psi = e^{-sqrt(2 lam)(r - R)} exactly.  Each is carried
+in the direction it grows, with its scale kept as a separate exponent, so
+neither cancels nor overflows.
 
-Crank-Nicolson steps on a geometrically growing time schedule resolve the
-t^{-3/2} startup without paying for it at horizon scale.  Past the startup
-every step is dt_max.  The step's matrix M - (dt/2) A is symmetric positive
-definite wherever Crank-Nicolson is in range, so it gets an LDL^T factor
-(LAPACK dpttrf, no pivoting) once per distinct step size, kept with the
-right-hand side's coefficients; each step is one tridiagonal product and
-one dpttrs solve.  A step that leaves the matrix indefinite raises
-ValueError instead of returning an oscillating profile.
+  * p: the transform is psi(r) / (2 pi r psi(0)), and psi'(0) / (2 pi psi(0))
+    at r = 0, where the 1/(2 pi r) pole has no inverse at t > 0.
+  * Z - 1: the transform w/r solves (lam - (1/2) d^2/dr^2 - beta v) w =
+    beta v r / lam.  On cell k the particular solution is mu_k r with
+    mu_k = beta v_k / (lam (lam - beta v_k)), and the phi/psi responses to
+    the jumps of mu_k r at the cell edges make w smooth.
+
+Each transform is inverted by fixed Talbot quadrature (Abate-Valko) on
+_TALBOT_NODES nodes, with the contour shifted by the exact principal
+eigenvalue of L (spectral.principal_eigenvalue), or by 0 when there is
+none.  No mesh, time step or setting enters; a non-finite inversion
+raises ValueError naming t and beta.  Every profile lives on _GRID_NODES
+equally spaced radii on [0, 4 sqrt(t) + max(2, 2 R)], R the well's
+support.
 
 The verify_* drivers compare finite-horizon output, diffusively rescaled,
 against the zero-range limit objects and report error tables over the
-horizon ladder.
+horizon ladder; prop1 and prop3 invert the flow at their four radii
+directly, so no interpolation enters their rows.
 """
 
 from __future__ import annotations
@@ -36,30 +44,28 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import laplace, zerorange
 from .potentials import RadialPotential, scaled_ball_potential
 from .radial import density_cdf
-from .spectral import compute_summary, gamma_of_chi
+from .spectral import compute_summary, gamma_of_chi, principal_eigenvalue
 
 __all__ = [
-    "StepperConfig",
     "HeatProfile",
     "ConvergenceTable",
-    "NonConvergedError",
     "evolve_point_source",
     "evolve_partition",
-    "duality_gap",
     "verify_prop1",
     "verify_prop3",
     "verify_poten_family",
 ]
 
 
-# outer mesh spacing max(h, a r); a = 1e-3 keeps the free flow at t = 0.5
-# within 9.3e-5 of the heat kernel, a = 2e-3 moves it to 1.7e-4 (bound 2e-4)
-_SPACING_SLOPE = 1e-3
+# Talbot nodes per inversion: M 24 and M 32 agree within 8.4e-10 (p) and
+# 1.3e-12 (Z) relative on every ladder point
+_TALBOT_NODES = 24
+# radii per profile
+_GRID_NODES = 4097
 
 # rescaled radii x at which the horizon ladders compare flow and limit
 _X_LIST = (0.25, 0.5, 1.0, 2.0)
@@ -67,66 +73,6 @@ _X_LIST = (0.25, 0.5, 1.0, 2.0)
 # marginal CDF is formed
 _POTEN_BETA = 1.0
 _POTEN_R_MAX = 6.0
-
-
-class NonConvergedError(RuntimeError):
-    """Halving the time step moved the answer; the schedule is too coarse."""
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    """Grid and schedule knobs for one evolution run.
-
-    L is the box radius and h the finest spacing: the mesh is uniform at h
-    out to 1.5 r_support of the well, then spaced max(h, 1e-3 r), with the
-    outer nodes stretched to end on L.  t0 is the point-source
-    regularization time; the schedule starts at dt0 and grows geometrically
-    until dt_max.  growth = 1 freezes a uniform step dt0 (used by
-    convergence tests).  Each distinct step size is factored once (LDL^T),
-    so a run costs about one factorization per startup step plus one solve
-    per step.  dt_max/2 times the flow's growth rate (the top eigenvalue of
-    (1/2) Lap + beta v on the mesh) must stay below 1, or the step's matrix
-    is not positive definite and the run raises ValueError.
-    """
-
-    L: float
-    h: float
-    t0: float = 1e-3
-    dt0: float = 2.5e-4
-    growth: float = 1.04
-    dt_max: float = 0.05
-
-    def __post_init__(self) -> None:
-        ok = (
-            self.L > 0.0
-            and 0.0 < self.h < self.L / 16.0
-            and self.t0 > 0.0
-            and self.dt0 > 0.0
-            and self.growth >= 1.0
-            and self.dt_max >= self.dt0
-        )
-        if not ok:
-            raise ValueError("inconsistent stepper configuration")
-
-    @classmethod
-    def auto_point_source(
-        cls, v: RadialPotential, beta: float, t_final: float
-    ) -> "StepperConfig":
-        # t0 keeps the ignored potential action below ~0.3% before the
-        # e^{beta v t0} startup factor even enters
-        t0 = min(1e-3, 3e-3 / max(beta * v.v_max, 1.0))
-        L = 4.0 * math.sqrt(t_final) + max(2.0, 2.0 * v.r_support)
-        h = min(v.r_support / 128.0, math.sqrt(t0) / 16.0)
-        return cls(L=L, h=h, t0=t0, dt0=t0 / 4.0, growth=1.04, dt_max=t_final / 1500.0)
-
-    @classmethod
-    def auto_partition(
-        cls, v: RadialPotential, beta: float, t_final: float
-    ) -> "StepperConfig":
-        L = 4.0 * math.sqrt(t_final) + max(2.0, 2.0 * v.r_support)
-        h = min(v.r_support / 128.0, 0.01)
-        dt0 = min(1e-5, h * h)
-        return cls(L=L, h=h, t0=1e-3, dt0=dt0, growth=1.04, dt_max=t_final / 1500.0)
 
 
 @dataclass(frozen=True)
@@ -144,185 +90,185 @@ class HeatProfile:
         return out
 
 
-def _mesh(v: RadialPotential, cfg: StepperConfig) -> np.ndarray:
-    """Nodes 0 = r_0 < r_1 < ... < r_n = L of the graded radial mesh.
+def _cell_step(u, du, k, s):
+    """Carry (u, u') a signed distance s across a cell where u'' = k^2 u.
 
-    Spacing h out to 1.5 r_support (and at least to 2h, for _origin_value),
-    then max(h, a r) with a = _SPACING_SLOPE; the nodes past the uniform
-    core are stretched so the last lands on L.
+    Returns the new state divided by e^{k |s|}, and k |s|.  With Re k >= 0
+    the divided state stays bounded and the exponent carries the growth.
     """
-    h, L = cfg.h, cfg.L
-    core = min(max(math.ceil(1.5 * v.r_support / h), 2), math.ceil(L / h) - 1)
-    nodes = list(h * np.arange(core + 1))
-    r = nodes[-1]
-    while r < L:
-        r += max(h, _SPACING_SLOPE * r)
-        nodes.append(r)
-    nodes = np.array(nodes)
-    r_core = nodes[core]
-    nodes[core:] = r_core + (nodes[core:] - r_core) * ((L - r_core) / (r - r_core))
-    nodes[-1] = L
-    return nodes
+    a = k * np.abs(s)
+    ch = 0.5 * (1.0 + np.exp(-2.0 * a))  # cosh(k s) e^{-a}
+    sh = -0.5 * np.sign(s) * np.expm1(-2.0 * a) / k  # sinh(k s) e^{-a} / k
+    return ch * u + sh * du, k * k * sh * u + ch * du, a
 
 
-def _cn_run(
-    v: RadialPotential,
-    beta: float,
-    nodes: np.ndarray,
-    u0: np.ndarray,
-    t_start: float,
-    stops: Sequence[float],
-    cfg: StepperConfig,
-    bc_right: float,
-) -> list[np.ndarray]:
-    """Crank-Nicolson from t_start through each stop; returns u at the stops.
+def _sweep(v: RadialPotential, beta: float, lam: np.ndarray):
+    """phi and psi at the cell edges of v, for every lam.
 
-    Finite volumes on the interior nodes: M du/dt = A u with the dual-cell
-    widths as the diagonal mass M and A symmetric tridiagonal (flux
-    1/(2 gap) between neighbours, beta times the cell average of v on the
-    diagonal).  On a uniform grid this is the three-point scheme times h.
-    Each step solves (M - (dt/2) A) u' = (M + (dt/2) A) u + dt c, c the
-    Dirichlet wall term, with the LDL^T factor of the left matrix; a
-    factor that is not positive definite raises ValueError naming the step
-    and beta.
+    Returns k per (cell, lam) and two arrays of shape (3, edges, lam): the
+    rows u, u', s, where the true state is (u, u') e^s.  The exponent s is
+    complex: it keeps the phase divided out with the growth.
     """
-    gaps = np.diff(nodes)
-    mass = 0.5 * (gaps[:-1] + gaps[1:])
-    flux = 0.5 / gaps
-    q = beta * v.cell_averages(0.5 * (nodes[:-1] + nodes[1:]))
-    off = flux[1:-1]
-    diag_a = q * mass - flux[:-1] - flux[1:]
-
-    u = u0.copy()
-    t = t_start
-    dt = cfg.dt0
-    out: list[np.ndarray] = []
-    # step -> (M + (step/2) A as diagonal and off-diagonal, LDL^T factor of
-    # M - (step/2) A); the latest two
-    steps: dict[float, tuple] = {}
-    for stop in stops:
-        while t < stop - 1e-13 * max(1.0, stop):
-            step = min(dt, stop - t)
-            coeffs = steps.pop(step, None)
-            if coeffs is None:
-                half = 0.5 * step
-                ld, le, info = dpttrf(mass - half * diag_a, -half * off)
-                if info > 0:
-                    raise ValueError(
-                        f"Crank-Nicolson step {step!r} at beta = {beta!r} exceeds the "
-                        "scheme's range for this well (M - (dt/2) A is not positive definite)"
-                    )
-                coeffs = (mass + half * diag_a, half * off, ld, le)
-            steps[step] = coeffs
-            if len(steps) > 2:
-                del steps[next(iter(steps))]
-            b_diag, b_off, ld, le = coeffs
-            rhs = b_diag * u
-            rhs[:-1] += b_off * u[1:]
-            rhs[1:] += b_off * u[:-1]
-            rhs[-1] += step * flux[-1] * bc_right  # Dirichlet value, both time levels
-            u, _ = dpttrs(ld, le, rhs, overwrite_b=1)
-            t += step
-            dt = min(dt * cfg.growth, cfg.dt_max)
-        out.append(u.copy())
-    return out
+    h = np.diff(v.grid)
+    m = h.size
+    k = np.sqrt(2.0 * (lam - beta * v.values[:, None]))
+    phi = np.empty((3, m + 1, lam.size), dtype=complex)
+    psi = np.empty_like(phi)
+    phi[0, 0], phi[1, 0], phi[2, 0] = 0.0, 1.0, 0.0
+    psi[0, m], psi[1, m], psi[2, m] = 1.0, -np.sqrt(2.0 * lam), 0.0
+    for i in range(m):
+        u, du, a = _cell_step(phi[0, i], phi[1, i], k[i], h[i])
+        norm = np.hypot(np.abs(u), np.abs(du))
+        phi[:, i + 1] = u / norm, du / norm, phi[2, i] + a + np.log(norm)
+    for i in reversed(range(m)):
+        u, du, a = _cell_step(psi[0, i + 1], psi[1, i + 1], k[i], -h[i])
+        norm = np.hypot(np.abs(u), np.abs(du))
+        psi[:, i] = u / norm, du / norm, psi[2, i + 1] + a + np.log(norm)
+    return k, phi, psi
 
 
-def _origin_value(u: np.ndarray, h: float) -> float:
-    # u is odd in r with u(0) = 0: u = a r + b r^3 + ..., so a = (8u1 - u2)/(6h)
-    return (8.0 * u[0] - u[1]) / (6.0 * h)
+def _invert(v: RadialPotential, beta: float, t: float, transform, r: np.ndarray) -> np.ndarray:
+    """Fixed Talbot inversion at time t of transform(v, beta, lam, r).
+
+    The transform returns F(lam) per radius of r and per node lam; the
+    result is f(t) per radius.
+    """
+    M = _TALBOT_NODES
+    theta = math.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    rho = 0.4 * M / t
+    shift = principal_eigenvalue(v, beta) or 0.0
+    lam = shift + rho * np.concatenate(([1.0], theta * (cot + 1j)))
+    sigma = theta + (theta * cot - 1.0) * cot
+    weight = (rho / M) * np.concatenate(([0.5], 1.0 + 1j * sigma))
+    # an overflow is reported once, as the ValueError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = transform(v, beta, lam, r)
+        values = (F @ (weight * np.exp(lam * t))).real
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"t = {t!r}: the flow value is not finite (beta = {beta!r})")
+    return values
 
 
-def _profiles_from_u(
-    us: list[np.ndarray], stops: Sequence[float], r: np.ndarray, h: float
-) -> list[HeatProfile]:
-    grid = np.concatenate(([0.0], r))
+def _point_source_transform(v: RadialPotential, beta: float, lam: np.ndarray, r: np.ndarray):
+    """psi(r) / (2 pi r psi(0)) less its 1/(2 pi r) pole, per radius and node.
+
+    The pole's inverse is supported at t = 0, so dropping it leaves p(t)
+    unchanged and spares the quadrature a 1/r term near the origin.  What
+    is left, (psi(r) - psi(0)) / (2 pi r psi(0)), is summed cell by cell
+    from psi(b) - psi(a) = (2 sinh(k (b - a)/2) / k) psi'((a + b)/2), so
+    no difference of nearly equal values is ever formed; at r = 0 it is
+    the limit psi'(0) / (2 pi psi(0)).
+    """
+    k, _, psi = _sweep(v, beta, lam)
+    m = k.shape[0]
+    u0, du0, s0 = psi[:, 0]
+    h = np.diff(v.grid)[:, None]
+    # psi(a + s) - psi(a) over psi(0) on cell [a, b]: (1 - e^{-k s}) / k times
+    # psi' at a + s/2 carried from b, whose exponent S(b) + k (h - s/2) makes
+    # the product's exponent S(b) + k h - s0 for every s
+    scale = np.exp(psi[2, 1:] + k * h - s0) / u0
+
+    def rise(c, s):
+        _, du, _ = _cell_step(psi[0, c + 1], psi[1, c + 1], k[c], 0.5 * s - h[c])
+        return -np.expm1(-k[c] * s) / k[c] * du * scale[c]
+
+    # (psi(edge) - psi(0)) / psi(0) at every edge
+    edge_rise = np.zeros((m + 1, lam.size), dtype=complex)
+    edge_rise[1:] = np.cumsum(rise(np.arange(m), h), axis=0)
+    cell = np.searchsorted(v.grid, r, side="right") - 1  # m past the support
+    inside = cell < m
+    c = cell[inside]
+    ratio_m1 = np.empty((r.size, lam.size), dtype=complex)
+    ratio_m1[inside] = edge_rise[c] + rise(c, r[inside, None] - v.grid[c, None])
+    # in place, so the radii outside the well (most of a profile's grid)
+    # cost one array, not four
+    tail = -np.sqrt(2.0 * lam) * (r[~inside, None] - v.r_support)
+    np.expm1(tail, out=tail)
+    tail *= np.exp(-s0) / u0
+    tail += edge_rise[m]
+    ratio_m1[~inside] = tail
+    origin = r == 0.0
+    np.divide(ratio_m1, 2.0 * math.pi * r[:, None], out=ratio_m1, where=~origin[:, None])
+    ratio_m1[origin] = du0 / (2.0 * math.pi * u0)
+    return ratio_m1
+
+
+def _partition_transform(v: RadialPotential, beta: float, lam: np.ndarray, r: np.ndarray):
+    """w(r)/r, the transform of Z - 1, per radius and node; mu_0 + w'(0) at r = 0.
+
+    w = mu_k r + (sum of c1_j over edges above r) phi + (sum of c2_j over
+    edges at or below r) psi, where edge j's coefficients answer the jump
+    dmu_j of mu r there: c1_j = dmu_j (g_j psi' - psi)/W and
+    c2_j = dmu_j (g_j phi' - phi)/W at g_j, W = phi psi' - phi' psi.
+    P and Q hold those sums in the scale of the cell's own edge.
+    """
+    k, phi, psi = _sweep(v, beta, lam)
+    m = k.shape[0]
+    bv = beta * v.values[:, None]
+    mu = np.zeros((m + 1, lam.size), dtype=complex)  # no particular beyond R
+    mu[:m] = bv / (lam * (lam - bv))
+    dmu = np.diff(mu, axis=0)
+    g = v.grid[1:, None]
+    pu, pdu, qu, qdu = phi[0, 1:], phi[1, 1:], psi[0, 1:], psi[1, 1:]
+    wronskian = pu * qdu - pdu * qu
+    c1 = dmu * (g * qdu - qu) / wronskian
+    c2 = dmu * (g * pdu - pu) / wronskian
+    P = np.zeros_like(mu)
+    Q = np.zeros_like(mu)
+    for c in reversed(range(m)):
+        P[c] = (c1[c] + P[c + 1]) * np.exp(phi[2, c] - phi[2, c + 1])
+    for c in range(1, m + 1):
+        Q[c] = Q[c - 1] * np.exp(psi[2, c] - psi[2, c - 1]) + c2[c - 1]
+
+    cell = np.searchsorted(v.grid, r, side="right") - 1  # m past the support
+    inside = cell < m
+    c, ri = cell[inside], r[inside, None]
+    up, _, ap = _cell_step(phi[0, c], phi[1, c], k[c], ri - v.grid[c, None])
+    uq, _, aq = _cell_step(psi[0, c + 1], psi[1, c + 1], k[c], ri - v.grid[c + 1, None])
+    w = np.empty((r.size, lam.size), dtype=complex)
+    w[inside] = (mu[c] * ri + up * P[c] * np.exp(ap)
+                 + uq * Q[c] * np.exp(psi[2, c + 1] + aq - psi[2, c]))
+    w[~inside] = Q[m] * np.exp(-np.sqrt(2.0 * lam) * (r[~inside, None] - v.r_support))
+    origin = r == 0.0
+    np.divide(w, r[:, None], out=w, where=~origin[:, None])
+    w[origin] = mu[0] + P[0]
+    return w
+
+
+def _point_source(v: RadialPotential, beta: float, t: float, r: np.ndarray) -> np.ndarray:
+    """p(t, 0, r) at the radii r."""
+    return _invert(v, beta, t, _point_source_transform, r)
+
+
+def _partition(v: RadialPotential, beta: float, t: float, r: np.ndarray) -> np.ndarray:
+    """Z(t, r) at the radii r."""
+    return 1.0 + _invert(v, beta, t, _partition_transform, r)
+
+
+def _profiles(v: RadialPotential, beta: float, times: Sequence[float], flow) -> list[HeatProfile]:
+    times = sorted(float(t) for t in times)
+    if not times or times[0] <= 0.0:
+        raise ValueError("times must be positive")
     out = []
-    for t, u in zip(stops, us):
-        vals = np.concatenate(([_origin_value(u, h)], u / r))
-        out.append(HeatProfile(t=float(t), grid=grid, values=vals))
+    for t in times:
+        grid = np.linspace(0.0, 4.0 * math.sqrt(t) + max(2.0, 2.0 * v.r_support), _GRID_NODES)
+        out.append(HeatProfile(t=t, grid=grid, values=flow(v, beta, t, grid)))
     return out
-
-
-def _run_point_source(
-    v: RadialPotential, beta: float, stops: Sequence[float], cfg: StepperConfig
-) -> list[HeatProfile]:
-    nodes = _mesh(v, cfg)
-    r = nodes[1:-1]
-    w0 = (2.0 * math.pi * cfg.t0) ** -1.5 * np.exp(-r * r / (2.0 * cfg.t0))
-    u0 = r * w0 * np.exp(beta * v(r) * cfg.t0)
-    us = _cn_run(v, beta, nodes, u0, cfg.t0, stops, cfg, bc_right=0.0)
-    return _profiles_from_u(us, stops, r, cfg.h)
 
 
 def evolve_point_source(
-    v: RadialPotential,
-    beta: float,
-    times: Sequence[float],
-    cfg: StepperConfig | None = None,
-    verify_dt: bool = False,
+    v: RadialPotential, beta: float, times: Sequence[float]
 ) -> list[HeatProfile]:
-    """Fundamental solution profiles w(t, r) ~ p(t, 0, r) at the given times.
-
-    With verify_dt the run is repeated at half the time step and a relative
-    sup deviation above 1e-3 raises NonConvergedError.
-    """
-    times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise ValueError("times must be positive")
-    if cfg is None:
-        cfg = StepperConfig.auto_point_source(v, beta, times[-1])
-    if times[0] <= cfg.t0:
-        raise ValueError(f"times must exceed the regularization time t0={cfg.t0}")
-    profiles = _run_point_source(v, beta, times, cfg)
-    if verify_dt:
-        halved = StepperConfig(
-            L=cfg.L, h=cfg.h, t0=cfg.t0, dt0=0.5 * cfg.dt0,
-            growth=1.0 + 0.5 * (cfg.growth - 1.0), dt_max=0.5 * cfg.dt_max,
-        )
-        check = _run_point_source(v, beta, times, halved)
-        for a, b in zip(profiles, check):
-            scale = float(np.max(np.abs(a.values)))
-            dev = float(np.max(np.abs(a.values - b.values))) / scale
-            if dev > 1e-3:
-                raise NonConvergedError(
-                    f"halving dt moved the t={a.t} profile by {dev:.2e} relative"
-                )
-    return profiles
+    """Fundamental solution profiles p(t, 0, r) at the given times."""
+    return _profiles(v, beta, times, _point_source)
 
 
 def evolve_partition(
-    v: RadialPotential,
-    beta: float,
-    times: Sequence[float],
-    cfg: StepperConfig | None = None,
+    v: RadialPotential, beta: float, times: Sequence[float]
 ) -> list[HeatProfile]:
-    """Partition function profiles Z(t, r), from the exact start Z = 1."""
-    times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise ValueError("times must be positive")
-    if cfg is None:
-        cfg = StepperConfig.auto_partition(v, beta, times[-1])
-    nodes = _mesh(v, cfg)
-    r = nodes[1:-1]
-    us = _cn_run(v, beta, nodes, r, 0.0, times, cfg, bc_right=cfg.L)
-    return _profiles_from_u(us, times, r, cfg.h)
-
-
-def duality_gap(
-    v: RadialPotential, beta: float, t: float, cfg: StepperConfig | None = None
-) -> float:
-    """Relative gap between 4 pi int p(t,0,r) r^2 dr and Z(t, 0).
-
-    Both sides equal the expected Gibbs weight from the origin, computed
-    by two unrelated runs; the gap is a discretization health check.  A
-    given cfg drives both runs; by default each picks its own.
-    """
-    [w] = evolve_point_source(v, beta, [t], cfg)
-    mass = 4.0 * math.pi * float(np.trapezoid(w.values * w.grid**2, w.grid))
-    [z] = evolve_partition(v, beta, [t], cfg)
-    z0 = z.values[0]
-    return abs(mass - z0) / abs(z0)
+    """Partition function profiles Z(t, r) at the given times."""
+    return _profiles(v, beta, times, _partition)
 
 
 @dataclass(frozen=True)
@@ -389,7 +335,7 @@ def verify_prop3(
     return _horizon_ladder(
         v, chi, T_list, t,
         lambda summary, gamma, xs: 1.0 + laplace.zbar_correction(gamma, xs, t) / xs,
-        lambda beta, T, r: evolve_partition(v, beta, [t * T])[0].interp(r),
+        lambda beta, T, r: _partition(v, beta, t * T, r),
     )
 
 
@@ -409,7 +355,7 @@ def verify_prop1(
         v, chi, T_list, t,
         lambda summary, gamma, xs: summary.kappa * summary.psi.at_origin
         * laplace.kernel_closed_form(gamma, xs, t) / xs,
-        lambda beta, T, r: T * evolve_point_source(v, beta, [t * T])[0].interp(r),
+        lambda beta, T, r: T * _point_source(v, beta, t * T, r),
     )
 
 

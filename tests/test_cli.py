@@ -58,7 +58,7 @@ class TestKernelCommand:
 
     @pytest.mark.parametrize("gamma,rho", [("60", "0.1"), ("100", "40")])
     def test_non_finite_kernel_exits_1(self, tmp_path, capsys, gamma, rho):
-        # e^{-gamma rho + gamma^2 t/2} overflows a double: inf at (60, 0.1), nan at (100, 40)
+        # e^{-gamma rho + gamma^2 t/2} overflows a double: the kernel is inf at both
         code = main(["kernel", "--gamma", gamma, "--rho", rho, "--t", "1",
                      "--out", str(tmp_path)])
         assert code == 1
@@ -333,6 +333,20 @@ class TestVerifyCommands:
             assert not (out_dir / "theorem2.json").exists()
             errs.append(err)
         assert errs[0] == errs[1] == "error: cannot allocate block buffers\n"
+
+    def test_error_without_message_prints_its_type(self, tmp_path, capsys, monkeypatch):
+        # an allocation failure deep in numpy raises a bare MemoryError()
+        from polymer_lab import cli
+
+        def handler(cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._DISPATCH, "spectral", handler)
+        code = main(["spectral", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: MemoryError\n"
 
 
 def _reject_constant(name):

@@ -1,4 +1,5 @@
-"""Crank-Nicolson evolution of the tilted heat flow and its report tables."""
+"""Resolvent heat flows, the Crank-Nicolson oracle they are checked against,
+and the report tables."""
 
 from __future__ import annotations
 
@@ -9,33 +10,44 @@ import math
 import numpy as np
 import pytest
 
+import cn_oracle
+from cn_oracle import NonConvergedError, StepperConfig, duality_gap
 from polymer_lab import heatflow
 from polymer_lab.cli import _write_csv, _write_json
 from polymer_lab.heatflow import (
     ConvergenceTable,
-    NonConvergedError,
-    StepperConfig,
-    duality_gap,
     evolve_partition,
     evolve_point_source,
     verify_poten_family,
     verify_prop1,
     verify_prop3,
 )
+from polymer_lab.potentials import RadialPotential
+from polymer_lab.spectral import critical_beta
+
+# three cells of different heights, so every cell has its own k
+CELLS = RadialPotential(np.array([0.0, 0.3, 0.7, 1.2]), np.array([1.5, 0.4, 0.9]))
+
+
+def _heat_kernel(r, t):
+    return np.exp(-r * r / (2.0 * t)) / (2.0 * math.pi * t) ** 1.5
 
 
 class TestEvolution:
     def test_free_flow_reproduces_heat_kernel(self, ball):
-        profiles = evolve_point_source(ball, 0.0, [0.5, 1.0])
-        r = np.linspace(0.1, 3.0, 13)
-        for prof in profiles:
-            exact = np.exp(-r * r / (2.0 * prof.t)) / (2.0 * math.pi * prof.t) ** 1.5
-            assert np.max(np.abs(prof.interp(r) / exact - 1.0)) < 2e-4
+        # the Talbot rule's own accuracy: r <= 2 sqrt(t), where the kernel is
+        # at least e^{-2} of its peak, over six decades of t
+        for t in (0.01, 0.1, 1.0, 25.0, 400.0, 6400.0):
+            [prof] = evolve_point_source(ball, 0.0, [t])
+            near = prof.grid <= 2.0 * math.sqrt(t)
+            exact = _heat_kernel(prof.grid[near], t)
+            assert np.max(np.abs(prof.values[near] / exact - 1.0)) < 1e-9, t
 
     def test_free_flow_conserves_mass(self, ball):
+        # trapezoid on the profile's grid, which ends at r = 6 here
         prof = evolve_point_source(ball, 0.0, [1.0])[0]
         mass = np.trapezoid(4.0 * math.pi * prof.grid**2 * prof.values, prof.grid)
-        assert mass == pytest.approx(1.0, abs=1e-3)
+        assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_partition_is_one_without_coupling(self, ball):
         prof = evolve_partition(ball, 0.0, [1.0])[0]
@@ -48,7 +60,42 @@ class TestEvolution:
         assert prof.interp(0.0) > 1.5
 
     def test_point_source_mass_equals_partition_value(self, ball):
-        assert duality_gap(ball, 1.0, 1.0) < 1e-4
+        # 4 pi int p(t, 0, r) r^2 dr = Z(t, 0): both sides are the expected
+        # Gibbs weight from the origin, from two different transforms.  p is
+        # smooth on each cell, so Gauss-Legendre per cell integrates it
+        x, w = np.polynomial.legendre.leggauss(64)
+        for v in (ball, CELLS):
+            for beta, t in ((1.0, 1.0), (1.3, 4.0)):
+                edges = np.concatenate((v.grid, [3.0, v.r_support + 12.0 * math.sqrt(t)]))
+                mass = 0.0
+                for a, b in zip(edges[:-1], edges[1:]):
+                    r = a + 0.5 * (b - a) * (x + 1.0)
+                    p = heatflow._point_source(v, beta, t, r)
+                    mass += 4.0 * math.pi * 0.5 * (b - a) * np.sum(w * p * r * r)
+                z0 = evolve_partition(v, beta, [t])[0].values[0]
+                assert abs(mass / z0 - 1.0) < 1e-9, (v.grid, beta, t)
+
+    def test_profile_interp_hits_nodes(self, ball):
+        prof = evolve_partition(ball, 1.0, [1.0])[0]
+        k = len(prof.grid) // 3
+        assert prof.interp(float(prof.grid[k])) == pytest.approx(
+            float(prof.values[k]), rel=1e-12
+        )
+
+    def test_grid_depends_only_on_time_and_support(self, ball):
+        p, later = evolve_point_source(ball, 1.0, [4.0, 1.0])
+        [z] = evolve_partition(CELLS, 0.5, [4.0])
+        assert (p.t, later.t) == (1.0, 4.0)
+        np.testing.assert_array_equal(p.grid, np.linspace(0.0, 6.0, 4097))
+        np.testing.assert_array_equal(later.grid, np.linspace(0.0, 10.0, 4097))
+        np.testing.assert_array_equal(z.grid, np.linspace(0.0, 10.4, 4097))
+
+    def test_non_finite_inversion_raises(self, ball):
+        # e^{lam0 t} with lam0 about 1233 overflows a double
+        with pytest.raises(ValueError, match=r"t = 1\.0: the flow value is not finite \(beta = 1000\.0\)"):
+            evolve_point_source(ball, 1000.0, [1.0])
+        with pytest.raises(ValueError, match="times must be positive"):
+            evolve_partition(ball, 1.0, [0.0, 1.0])
 
     def test_duality_gap_forwards_config_to_both_runs(self, ball, monkeypatch):
         seen = []
@@ -60,47 +107,66 @@ class TestEvolution:
             return run
 
         for name in ("evolve_point_source", "evolve_partition"):
-            monkeypatch.setattr(heatflow, name, recording(getattr(heatflow, name)))
+            monkeypatch.setattr(cn_oracle, name, recording(getattr(cn_oracle, name)))
         cfg = StepperConfig.auto_point_source(ball, 1.0, 1.0)
         assert duality_gap(ball, 1.0, 1.0, cfg) < 1e-4
         assert seen == [("evolve_point_source", cfg), ("evolve_partition", cfg)]
 
-    def test_profile_interp_hits_nodes(self, ball):
-        prof = evolve_partition(ball, 1.0, [1.0])[0]
-        k = len(prof.grid) // 3
-        assert prof.interp(float(prof.grid[k])) == pytest.approx(
-            float(prof.values[k]), rel=1e-12
-        )
-
     def test_halving_check_accepts_default_schedule(self, ball):
-        evolve_point_source(ball, 1.0, [0.5], verify_dt=True)
+        cn_oracle.evolve_point_source(ball, 1.0, [0.5], verify_dt=True)
 
     def test_halving_check_rejects_coarse_schedule(self, ball):
         cfg = StepperConfig(L=8.0, h=0.25, t0=0.01, dt0=0.25, growth=1.0, dt_max=0.25)
         with pytest.raises(NonConvergedError, match="halving dt"):
-            evolve_point_source(ball, 4.0, [1.0], cfg=cfg, verify_dt=True)
+            cn_oracle.evolve_point_source(ball, 4.0, [1.0], cfg=cfg, verify_dt=True)
+
+
+class TestOracleGate:
+    """Crank-Nicolson converges to the resolvent flow at second order."""
+
+    @pytest.mark.parametrize("well", ["ball", "cells"])
+    def test_partition_gap_quarters_per_halving(self, ball, well):
+        # h and the whole time schedule halved twice: the oracle's relative
+        # Z gap at the ladder radii must shrink 3.5-4.5 fold each time
+        v = ball if well == "ball" else CELLS
+        beta_cr = critical_beta(v)
+        for chi in (0.0, 1.0):
+            for T in (25.0, 100.0, 400.0):
+                beta = beta_cr + chi / math.sqrt(T)
+                r = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(T)
+                exact = heatflow._partition(v, beta, T, r)
+                base = StepperConfig.auto_partition(v, beta, T)
+                gaps = []
+                for f in (1.0, 0.5, 0.25):
+                    cfg = StepperConfig(
+                        L=base.L, h=f * base.h, t0=base.t0, dt0=f * base.dt0,
+                        growth=1.0 + f * (base.growth - 1.0), dt_max=f * base.dt_max,
+                    )
+                    [z] = cn_oracle.evolve_partition(v, beta, [T], cfg)
+                    gaps.append(float(np.max(np.abs(z.interp(r) / exact - 1.0))))
+                ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+                assert all(3.5 <= q <= 4.5 for q in ratios), (chi, T, gaps)
 
 
 class TestGradedMesh:
     """The T = 400 runs that verify_prop1 and verify_prop3 read far out."""
 
-    @pytest.fixture(scope="class")
-    def free_profile(self, ball):
-        return evolve_point_source(ball, 0.0, [400.0])[0]
-
-    def test_far_field_matches_heat_kernel(self, free_profile):
+    def test_far_field_matches_heat_kernel(self, ball):
         T = 400.0
         r = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(T)
-        exact = np.exp(-r * r / (2.0 * T)) / (2.0 * math.pi * T) ** 1.5
-        assert np.max(np.abs(free_profile.interp(r) / exact - 1.0)) < 2e-4
+        free_profile = evolve_point_source(ball, 0.0, [T])[0]
+        exact = _heat_kernel(r, T)
+        assert np.max(np.abs(heatflow._point_source(ball, 0.0, T, r) / exact - 1.0)) < 1e-9
+        # the profile's linear interpolation adds (h^2/8) |f''|, h = 82/4096
+        assert np.max(np.abs(free_profile.interp(r) / exact - 1.0)) < 1e-6
 
     def test_partition_stays_one_at_long_horizon(self, ball):
         prof = evolve_partition(ball, 0.0, [400.0])[0]
         assert np.max(np.abs(prof.values - 1.0)) < 1e-10
 
-    def test_grid_is_graded_with_uniform_start(self, ball, free_profile):
+    def test_grid_is_graded_with_uniform_start(self, ball):
         h = StepperConfig.auto_point_source(ball, 0.0, 400.0).h
-        grid = free_profile.grid
+        grid = cn_oracle.evolve_point_source(ball, 0.0, [400.0])[0].grid
         assert grid.size < 6000
         np.testing.assert_allclose(grid[:3], [0.0, h, 2.0 * h], rtol=0, atol=1e-15)
 
@@ -108,7 +174,7 @@ class TestGradedMesh:
         calls = {"dpttrf": 0, "dpttrs": 0}
 
         def counted(name):
-            original = getattr(heatflow, name)
+            original = getattr(cn_oracle, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -116,10 +182,10 @@ class TestGradedMesh:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(heatflow, name, counted(name))
+            monkeypatch.setattr(cn_oracle, name, counted(name))
         stops = [100.0, 400.0]
         cfg = StepperConfig.auto_point_source(ball, 1.0, stops[-1])
-        evolve_point_source(ball, 1.0, stops, cfg)
+        cn_oracle.evolve_point_source(ball, 1.0, stops, cfg)
         startup = math.ceil(math.log(cfg.dt_max / cfg.dt0) / math.log(cfg.growth))
         assert calls["dpttrf"] <= startup + len(stops) + 1
         assert calls["dpttrf"] < calls["dpttrs"] / 5
@@ -128,12 +194,12 @@ class TestGradedMesh:
         # the scheme, not the LAPACK routine: every step of the same schedule
         # solved densely on the assembled M -/+ (dt/2) A
         cfg = StepperConfig(L=4.0, h=0.02, dt0=0.01, growth=2.0, dt_max=0.04)
-        nodes = heatflow._mesh(ball, cfg)
+        nodes = cn_oracle._mesh(ball, cfg)
         r = nodes[1:-1]
         assert 150 < r.size < 250
         beta, bc_right, stops = 1.0, 0.5, [0.13, 0.3]
         u0 = r * (1.0 + np.exp(-r * r))
-        got = heatflow._cn_run(ball, beta, nodes, u0, 0.0, stops, cfg, bc_right)
+        got = cn_oracle._cn_run(ball, beta, nodes, u0, 0.0, stops, cfg, bc_right)
 
         gaps = np.diff(nodes)
         mass = np.diag(0.5 * (gaps[:-1] + gaps[1:]))
@@ -162,7 +228,7 @@ class TestGradedMesh:
         # (dt/2) A is indefinite and the CN factor (1 + z/2)/(1 - z/2) is below -1
         cfg = StepperConfig(L=8.0, h=0.05, t0=1e-3, dt0=0.1, growth=1.0, dt_max=0.1)
         with pytest.raises(ValueError, match="Crank-Nicolson step 0.1 at beta = 50.0"):
-            evolve_point_source(ball, 50.0, [1.0], cfg)
+            cn_oracle.evolve_point_source(ball, 50.0, [1.0], cfg)
 
 
 class TestConfigValidation:
@@ -180,7 +246,7 @@ class TestConfigValidation:
     def test_times_inside_regularized_window(self, ball):
         cfg = StepperConfig(L=8.0, h=0.25, t0=0.01)
         with pytest.raises(ValueError, match="regularization time"):
-            evolve_point_source(ball, 1.0, [0.005], cfg=cfg)
+            cn_oracle.evolve_point_source(ball, 1.0, [0.005], cfg=cfg)
 
 
 class TestReports:
@@ -203,7 +269,7 @@ class TestReports:
         # at chi 40 (gamma 49.3) the limit kernel overflows; the T-independent
         # limit is checked before the first horizon's flow would run
         calls = []
-        monkeypatch.setattr(heatflow, "evolve_point_source", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(heatflow, "_invert", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=r"the limit value is not finite \(chi = 40\.0"):
             verify_prop1(ball, 40.0, T_list=(25.0, 100.0))
         assert calls == []
