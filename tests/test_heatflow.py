@@ -22,7 +22,7 @@ from polymer_lab.heatflow import (
     verify_prop1,
     verify_prop3,
 )
-from polymer_lab.potentials import RadialPotential
+from polymer_lab.potentials import RadialPotential, scaled_ball_potential
 from polymer_lab.spectral import critical_beta
 
 # three cells of different heights, so every cell has its own k
@@ -42,6 +42,33 @@ class TestEvolution:
             near = prof.grid <= 2.0 * math.sqrt(t)
             exact = _heat_kernel(prof.grid[near], t)
             assert np.max(np.abs(prof.values[near] / exact - 1.0)) < 1e-9, t
+        # out to r^2 / 2t = 9: the profile's linear interpolation dominates,
+        # the inversion itself stays within 1e-8
+        r = np.linspace(0.1, 3.0, 13)
+        for t in (0.5, 1.0):
+            [prof] = evolve_point_source(ball, 0.0, [t])
+            exact = _heat_kernel(r, t)
+            assert np.max(np.abs(prof.interp(r) / exact - 1.0)) < 1e-5, t
+            assert np.max(np.abs(heatflow._point_source(ball, 0.0, t, r) / exact - 1.0)) < 1e-7, t
+
+    def test_free_flow_tail_error_is_absolute(self, ball):
+        # Talbot's error is about fixed in absolute terms, so in the tail it
+        # is bounded against the peak, not the local value: over every grid
+        # radius, out to r^2 / 2t = 18 at t = 1 and 288 at t = 0.01
+        for t in (0.01, 0.1, 1.0, 25.0, 400.0, 6400.0):
+            [prof] = evolve_point_source(ball, 0.0, [t])
+            err = np.max(np.abs(prof.values - _heat_kernel(prof.grid, t)))
+            assert err < 1e-9 * _heat_kernel(0.0, t), t
+
+    def test_narrow_well_tail_is_node_independent(self, monkeypatch):
+        # the narrow-well density that verify_poten_family integrates out to
+        # r = 6 at t = 1: 24 and 32 Talbot nodes agree against its peak
+        v = scaled_ball_potential(0.125, 0.0)
+        r = np.linspace(0.0, 6.0, 601)
+        coarse = heatflow._point_source(v, 1.0, 1.0, r)
+        monkeypatch.setattr(heatflow, "_TALBOT_NODES", 32)
+        fine = heatflow._point_source(v, 1.0, 1.0, r)
+        assert np.max(np.abs(coarse - fine)) < 1e-9 * np.max(fine)
 
     def test_free_flow_conserves_mass(self, ball):
         # trapezoid on the profile's grid, which ends at r = 6 here
