@@ -11,13 +11,16 @@ inconclusive instead of failing.  Variance reduction beyond
 self-normalization is deliberately out of scope.
 
 Every path draws from its own random stream spawned off the ensemble seed,
-so path i is reproducible independently of the ensemble size.  The
-arithmetic runs in blocks of paths sized to about 2 MB per buffer, on one
-worker thread per usable core (one in all for paths under 200 steps), and
-evaluates v only at the points inside its support; the draws, positions
-and weights are bit-for-bit the same whatever the block size or the core
-count.  Positions are recorded only at the requested record times; weights
-always accumulate over the full step grid.
+so path i is reproducible independently of the ensemble size.  The seed
+words of all n streams come from one vectorized pass over SeedSequence's
+mixing, and each worker keeps a single PCG64 that it re-seeds to path i's
+stream just before drawing path i.  The arithmetic runs in blocks of paths
+sized to about 2 MB per buffer, on one worker thread per usable core (one
+in all for paths under 200 steps), and evaluates v only at the points
+inside its support; the draws, positions and weights are bit-for-bit the
+same whatever the block size or the core count.  Positions are recorded
+only at the requested record times; weights always accumulate over the
+full step grid.
 
 The verdicts read a recorded time's positions straight from the ensemble's
 array, rescale them diffusively by 1/sqrt(T), and score the weighted radii
@@ -203,15 +206,14 @@ def sample_weighted_paths(
     times = rec_idx * dt
 
     n = int(n)
+    # positions at the record times, the log-weight and four stream words
+    # per path; the workers' buffers are bounded by _BLOCK_BYTES
+    zerorange._refuse_oversized(n, 8 * n * (3 * rec_idx.size + 5))
+    # stream i belongs to path i whatever n, the block size or the worker
+    # count is
+    words = zerorange._spawn_words(seed, n)
     positions = np.empty((n, rec_idx.size, 3))
     log_weights = np.empty(n)
-    # Building a generator holds the GIL, so every path's stream is built
-    # here, before the workers start; stream i belongs to path i whatever n,
-    # the block size or the worker count is.
-    rngs = [
-        np.random.Generator(np.random.PCG64(child))
-        for child in np.random.SeedSequence(seed).spawn(n)
-    ]
     # Paths go in blocks of about _BLOCK_BYTES per buffer, so every pass
     # over a block (scale, cumsum, shift, r^2, v, sum) runs in cache at any
     # horizon.  Block b goes to worker b % workers; the normal fills and
@@ -223,6 +225,13 @@ def sample_weighted_paths(
         workers = min(_usable_cores(), len(bounds))
 
     def work(mine):
+        gen = np.random.Generator(np.random.PCG64(0))
+
+        def normals(i, out):
+            # path i's stream: the worker's one generator, re-seeded
+            zerorange._seed_pcg64(gen.bit_generator, words[i].tolist())
+            gen.standard_normal(out=out)
+
         # increments, path, r^2 and v; coordinates-major so the cumsum runs
         # on the contiguous axis
         bufs = (
@@ -233,7 +242,7 @@ def sample_weighted_paths(
         )
         for lo, hi in mine:
             _simulate_block(
-                rngs, lo, hi, bufs, v, beta, dt, start, rec_idx,
+                normals, lo, hi, bufs, v, beta, dt, start, rec_idx,
                 positions, log_weights,
             )
 
@@ -254,13 +263,16 @@ def sample_weighted_paths(
 
 
 def _simulate_block(
-    rngs, lo, hi, bufs, v, beta, dt, start, rec_idx, positions, log_weights
+    normals, lo, hi, bufs, v, beta, dt, start, rec_idx, positions, log_weights
 ) -> None:
-    """Paths lo..hi-1 into rows lo..hi-1 of positions and log_weights."""
+    """Paths lo..hi-1 into rows lo..hi-1 of positions and log_weights.
+
+    normals(i, out) fills out with standard normals from path i's stream.
+    """
     incr, path, r2, vals = bufs
     m = hi - lo
     for j in range(m):
-        rngs[lo + j].standard_normal(out=incr[j])
+        normals(lo + j, incr[j])
     incr[:m] *= math.sqrt(dt)
     np.cumsum(incr[:m], axis=2, out=path[:m, :, 1:])
     path[:m, :, 1:] += start[:, np.newaxis]

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 __all__ = [
@@ -67,13 +66,22 @@ class RadialDensity:
 
     def cdf(self) -> np.ndarray:
         """Cumulative distribution on the grid, clipped to [0, 1]."""
-        c = np.concatenate(([0.0], cumulative_trapezoid(self.values, self.grid)))
-        return np.clip(c, 0.0, 1.0)
+        return np.clip(_cumulative_trapezoid(self.grid, self.values), 0.0, 1.0)
+
+
+def _cumulative_trapezoid(grid, values) -> np.ndarray:
+    """Trapezoid integral of values from grid[0] to every node, starting at 0.
+
+    The running sum is scipy.integrate.cumulative_trapezoid's own
+    expression, so the two agree bit for bit.
+    """
+    x, y = np.asarray(grid), np.asarray(values)
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def density_cdf(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Trapezoid CDF of an unnormalized density, rescaled to end at 1."""
-    c = np.concatenate(([0.0], cumulative_trapezoid(values, grid)))
+    c = _cumulative_trapezoid(grid, values)
     total = c[-1]
     if total <= 0.0:
         raise ValueError("density integrates to zero")

@@ -30,18 +30,19 @@ solution is linear and a bound state decays like e^{-sqrt(2 lam) r}, so
   * the ground state is the node-free solution of u'(R) + sqrt(2 lam) u(R) = 0,
     i.e. theta = pi/2 + arctan(sqrt(2 lam)).
 
-Each condition is monotone in the unknown, so brentq finds the unique root
-of its bracket, and no mesh, box or step size enters any constant.
+Each condition is monotone in the unknown, so Brent's method (_brentq, a
+port of SciPy's brentq) finds the unique root of its bracket, and no mesh,
+box or step size enters any constant.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .potentials import RadialPotential
 
@@ -77,6 +78,86 @@ _PSI_NODES = 8193
 # zero-energy solution is node-free, so every cell spans less than half a
 # wavelength (k h < pi) and 16 nodes integrate u r and u^2 to round-off.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+# SciPy's brentq defaults: iteration cap and the smallest accepted rtol
+_BRENTQ_MAXITER = 100
+_BRENTQ_RTOL_MIN = 4 * sys.float_info.epsilon
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b] by Brent's method, op for op as SciPy's brentq.
+
+    A port of the C routine scipy/optimize/Zeros/brentq.c and the checks of
+    its Python wrapper, so it visits the same iterates and returns the same
+    float.  Raises ValueError when xtol <= 0, rtol < 4 eps, f(a) and f(b)
+    have the same sign or f returns nan, and RuntimeError after
+    _BRENTQ_MAXITER iterations without convergence.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL_MIN:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(y: float) -> bool:  # C's signbit
+        return math.copysign(1.0, y) < 0.0
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a zero denominator gives C an inf or nan
+                # step, which always bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            # C's MIN(fabs(spre), 3 fabs(sbis) - delta), which differs from
+            # Python's min only on a tie or a nan
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +235,7 @@ def critical_beta(v: RadialPotential) -> float:
         hi *= 1.5
     else:
         raise BracketError("no sign change of u'(R) found; is the potential attractive?")
-    root = brentq(gap, lo if lo > 0.0 else 1e-12 * hi, hi, xtol=1e-14, rtol=8.9e-16)
+    root = _brentq(gap, lo if lo > 0.0 else 1e-12 * hi, hi, xtol=1e-14, rtol=8.9e-16)
     return float(root)
 
 
@@ -241,7 +322,7 @@ def principal_eigenvalue(v: RadialPotential, beta: float) -> float | None:
     if not _ground_state_gap(v, beta, 0.0) > 0.0:
         return None
     kappa_max = math.sqrt(2.0 * beta * v.v_max)
-    kappa = brentq(
+    kappa = _brentq(
         lambda k: _ground_state_gap(v, beta, k), 0.0, kappa_max, xtol=1e-300, rtol=8.9e-16
     )
     return 0.5 * kappa * kappa
@@ -277,7 +358,7 @@ def beta0_of_lambda(
         step *= 1.6
     else:
         raise BracketError(f"could not bracket beta_0 for lam={lam}")
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return float(_brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 @dataclass(frozen=True)

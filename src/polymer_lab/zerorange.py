@@ -19,11 +19,11 @@ them in the test suite.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .radial import RadialDensity, default_radial_grid, gauss_sphere_integral
@@ -282,6 +282,46 @@ class _ChainTables:
     col0: np.ndarray  # (ny,): 2 I(gamma, y, dt); times J(0, tail) / y at x = 0
 
 
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson's rule along the last axis of y on the 1-d grid x, N >= 3.
+
+    A port of SciPy 1.17's simpson(y, x=x, axis=-1) with the same numpy
+    operations in the same order, so the two agree bit for bit.  Odd N is
+    plain Simpson over every pair of intervals; even N is Simpson over the
+    first N - 3 intervals plus Cartwright's correction for the last one.
+    """
+    x = np.asarray(x).reshape((1,) * (np.ndim(y) - 1) + (-1,))
+    n = x.shape[-1]
+    h = np.diff(x, axis=-1)
+    stop = n - 2 if n % 2 else n - 3
+    h0 = h[..., 0:stop:2].astype(float, copy=False)
+    h1 = h[..., 1:stop + 1:2].astype(float, copy=False)
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    tmp = hsum / 6.0 * (
+        y[..., 0:stop:2]
+        * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0))
+        + y[..., 1:stop + 1:2]
+        * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0))
+        + y[..., 2:stop + 2:2] * (2.0 - h0divh1)
+    )
+    result = np.sum(tmp, axis=-1)
+    if n % 2:
+        return result
+    a, b = np.squeeze(h[..., -2:-1], axis=-1), np.squeeze(h[..., -1:], axis=-1)
+    num, den = 2 * b**2 + 3 * a * b, 6 * (b + a)
+    alpha = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+    num, den = b**2 + 3.0 * a * b, 6 * a
+    beta = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+    num, den = 1 * b**3, 6 * a * (a + b)
+    eta = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    # SciPy then adds its (here zero) two-point term, turning -0.0 into 0.0
+    result += 0.0
+    return result
+
+
 def _row_cdf(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # cumulative trapezoid along the last axis, normalized to end at 1
     dx = np.diff(x)
@@ -303,7 +343,7 @@ def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
     marg = marginal_radial(p, dt, grid=x)
     # the marginal is normalized analytically, so its Simpson mass doubles
     # as a tail-coverage certificate for the first draw
-    reach = float(simpson(marg.values, x=x))
+    reach = float(_simpson(marg.values, x))
     if reach < 1.0 - _TAIL_DEFICIT:
         raise GridExhaustionError(
             f"radial grid [0, {x[-1]:g}] captures only {reach:.8f} of the "
@@ -337,7 +377,7 @@ def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray):
     rows = np.concatenate([col0[:, None], tab.kern[anchors] * weight], axis=1)
     # row mass should match the partition factor still ahead of the anchor
     expected = _zbar_closed(tab.gamma, y, tail + dt)[anchors]
-    return rows, simpson(rows, x=x, axis=1) >= (1.0 - _TAIL_DEFICIT) * expected
+    return rows, _simpson(rows, x) >= (1.0 - _TAIL_DEFICIT) * expected
 
 
 def _inverse_cdf(
@@ -395,6 +435,103 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
     return out
 
 
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator),
+# and PCG64's 128-bit LCG multiplier
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    # SeedSequence's hashmix on uint32 words; also returns the next constant
+    nxt = (hash_const * mult) & 0xFFFFFFFF
+    value = (value ^ hash_const) * nxt
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _spawn_words(seed: int, n: int) -> np.ndarray:
+    """Row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64).
+
+    SeedSequence's mixing runs on every child's uint32 words in one numpy
+    pass: a child's entropy is the seed's 32-bit words, zero-padded to the
+    pool size, followed by its spawn key i.  Shape (n, 4), dtype uint64.
+    """
+    # SeedSequence itself validates the seed (a negative one raises ValueError)
+    entropy = int(np.random.SeedSequence(seed).entropy)
+    if n > 1 << 32:
+        raise ValueError(f"n = {n} needs spawn keys wider than one 32-bit word")
+    words = []
+    while True:
+        words.append(np.full(n, entropy & 0xFFFFFFFF, dtype=np.uint32))
+        entropy >>= 32
+        if not entropy:
+            break
+    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(words))
+    words.append(np.arange(n, dtype=np.uint32))
+    # mix_entropy: hash the first pool-size words in, cross-mix the pool,
+    # then mix each remaining word into every pool word
+    hc = _INIT_A
+    pool = []
+    for w in words[:_POOL_WORDS]:
+        h, hc = _hashmix(w, hc, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            h, hc = _hashmix(w, hc, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state: eight uint32 words cycled off the pool, paired
+    # little-endian into four uint64 words
+    hc = _INIT_B
+    out = []
+    for i in range(2 * _POOL_WORDS):
+        h, hc = _hashmix(pool[i % _POOL_WORDS], hc, _MULT_B)
+        out.append(h.astype(np.uint64))
+    return np.stack([out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)], axis=1)
+
+
+def _seed_pcg64(bitgen: np.random.PCG64, words) -> None:
+    """Put bitgen in the state PCG64 starts in when seeded with these words.
+
+    words are a child's generate_state(4, np.uint64) as Python ints; PCG64
+    reads them as the 128-bit (initstate, initseq) and steps its LCG twice.
+    """
+    initstate = (words[0] << 64) | words[1]
+    inc = ((((words[2] << 64) | words[3]) << 1) | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _refuse_oversized(n: int, nbytes: int) -> None:
+    """ValueError when a sample's estimated arrays exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: skip
+        return
+    if nbytes > physical:
+        raise ValueError(
+            f"n = {n} paths need about {nbytes / 2**30:.3g} GiB, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _check_steps(n_steps: int) -> int:
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -412,9 +549,15 @@ def sample_paths(
     n_steps = _check_steps(n_steps)
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    n_paths = int(n_paths)
+    # per path: the uniforms, the walk's output, four stream words and
+    # about 24 values of the walk's per-step work arrays
+    _refuse_oversized(n_paths, 8 * n_paths * (2 * n_steps + 29))
+    words = _spawn_words(seed, n_paths)
     tab = _tables(p, n_steps)
-    children = np.random.SeedSequence(seed).spawn(int(n_paths))
-    uniforms = np.empty((int(n_paths), n_steps))
-    for i, child in enumerate(children):
-        uniforms[i] = np.random.Generator(np.random.PCG64(child)).random(n_steps)
+    gen = np.random.Generator(np.random.PCG64(0))
+    uniforms = np.empty((n_paths, n_steps))
+    for i in range(n_paths):
+        _seed_pcg64(gen.bit_generator, words[i].tolist())
+        gen.random(out=uniforms[i])
     return _walk(tab, uniforms)

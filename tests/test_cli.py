@@ -213,6 +213,16 @@ class TestSampleCommand:
               "--seed", "91", "--out", str(tmp_path / "flag")])
         assert (tmp_path / "flag" / "paths.csv").read_text() == env_csv
 
+    def test_oversized_n_exits_1(self, tmp_path, capsys):
+        code = main(["sample", "--n-paths", "1000000000000", "--steps", "8",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n = 1000000000000 paths need")
+        assert not (tmp_path / "paths.csv").exists()
+
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYMER_LAB_SEED", "ninety-one")
         assert main(["sample", "--out", str(tmp_path)]) == 1
@@ -391,6 +401,22 @@ class TestUsage:
     def test_malformed_list(self, capsys):
         assert main(["verify-prop3", "--T", "9;25"]) == 1
         assert "comma-separated" in capsys.readouterr().err
+
+    def test_import_loads_scipy_special_only(self):
+        # a fresh interpreter, as for every command: start-up pays for each
+        # SciPy subpackage the import pulls in
+        code = (
+            "import sys, polymer_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.count('.') == 1 "
+            "and m.startswith('scipy.') and not m.startswith('scipy._')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.strip()
+        for heavy in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
+            assert repr(heavy) not in loaded
+        assert "'scipy.special'" in loaded
 
     def test_module_is_runnable(self, tmp_path):
         proc = subprocess.run(

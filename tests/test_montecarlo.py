@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,16 @@ def free_ensemble(ball):
 
 
 class TestSampler:
+    def test_oversized_n_refused_before_allocating(self, ball):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n = 1000000000000 paths need"):
+                sample_weighted_paths(ball, 1.0, 9.0, 0.01, 10**12, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_free_weights_are_unity(self, free_ensemble):
         assert np.all(free_ensemble.log_weights == 0.0)
         assert free_ensemble.ess == pytest.approx(4000.0)

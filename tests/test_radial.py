@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.stats import maxwell
 
 from polymer_lab.radial import (
     RadialDensity,
+    _cumulative_trapezoid,
     default_radial_grid,
     density_cdf,
     gauss_sphere_integral,
@@ -135,3 +137,14 @@ def test_density_cdf_rejects_zero_mass():
     g = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         density_cdf(g, np.zeros_like(g))
+
+
+@given(
+    steps=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit(steps, data):
+    x = np.concatenate(([0.0], steps)).cumsum()
+    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=x.size, max_size=x.size)))
+    want = cumulative_trapezoid(y, x, initial=0)
+    assert _cumulative_trapezoid(x, y).tobytes() == want.tobytes()

@@ -6,9 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from polymer_lab import spectral
 from polymer_lab.potentials import RadialPotential, scaled_ball_potential, unit_ball_potential
 from polymer_lab.spectral import (
     FitQualityError,
+    _brentq,
     SpectralSummary,
     alpha_of_f,
     beta0_of_lambda,
@@ -199,3 +201,77 @@ class TestAlphaOfF:
         r = np.linspace(1e-6, 40.0, 200001)
         ref = ball_summary.kappa * 4.0 * math.pi * np.trapezoid(psi(r) * r * r, r)
         assert got == pytest.approx(ref, rel=1e-4)
+
+
+# root-finding test functions f(x; c, s) with a sign change near c; the last
+# is a step, so a tight xtol on a wide bracket exhausts the iterations
+_ROOT_FAMILIES = [
+    lambda c, s: lambda x: s * (x - c) ** 3,
+    lambda c, s: lambda x: s * (math.tanh(5.0 * (x - c)) + 1e-3 * x),
+    lambda c, s: lambda x: s * math.copysign(math.sqrt(abs(x - c)), x - c),
+    lambda c, s: lambda x: s * (math.exp(x) - math.exp(c)),
+    lambda c, s: lambda x: s if x >= c else -s,
+]
+
+
+def _run_root_finder(solver, f, a, b, **tols):
+    """(result's repr or exception type, every abscissa f was called at)."""
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        got = solver(traced, a, b, **tols)
+    except Exception as exc:  # the port must raise what SciPy raises
+        return type(exc), calls
+    return repr(float(got)), calls
+
+
+class TestBrentqPort:
+    """spectral._brentq against scipy.optimize.brentq, its test oracle."""
+
+    @given(
+        family=st.integers(0, len(_ROOT_FAMILIES) - 1),
+        c=st.floats(-3.0, 3.0),
+        scale_exp=st.floats(-300.0, 300.0),
+        below=st.floats(0.0, 5.0),
+        above=st.floats(0.0, 5.0),
+        swap=st.booleans(),
+        xtol_exp=st.floats(-300.0, -1.0),
+        rtol_mult=st.floats(1.0, 1e10),
+    )
+    def test_same_iterates_and_result(
+        self, family, c, scale_exp, below, above, swap, xtol_exp, rtol_mult
+    ):
+        f = _ROOT_FAMILIES[family](c, 10.0**scale_exp)
+        a, b = c - below, c + above
+        if swap:
+            a, b = b, a
+        tols = dict(xtol=10.0**xtol_exp, rtol=4.0 * np.finfo(float).eps * rtol_mult)
+        assert _run_root_finder(_brentq, f, a, b, **tols) == _run_root_finder(
+            brentq, f, a, b, **tols
+        )
+
+    @pytest.mark.parametrize("f, a, b, tols", [
+        (lambda x: x - 0.3, 0.0, 1.0, dict(xtol=1e-12, rtol=1e-16)),  # rtol < 4 eps
+        (lambda x: x - 0.3, 0.0, 1.0, dict(xtol=0.0, rtol=1e-15)),
+        (lambda x: x * x + 1.0, -1.0, 1.0, dict(xtol=1e-12, rtol=1e-15)),  # no sign change
+        (lambda x: math.nan, 0.0, 1.0, dict(xtol=1e-12, rtol=1e-15)),
+        (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0,
+         dict(xtol=1e-12, rtol=1e-15)),  # nan at an iterate
+        (_ROOT_FAMILIES[4](0.1, 1.0), -1e300, 1e300, dict(xtol=1e-300, rtol=1e-15)),
+    ])
+    def test_error_paths_raise_scipys_exception(self, f, a, b, tols):
+        got, _ = _run_root_finder(_brentq, f, a, b, **tols)
+        want, _ = _run_root_finder(brentq, f, a, b, **tols)
+        assert isinstance(want, type) and got is want
+
+    def test_spectral_roots_match_scipy(self, ball, monkeypatch):
+        # the production brackets and tolerances of the three solvers
+        v = scaled_ball_potential(0.5, 0.3)
+        got = critical_beta(v), principal_eigenvalue(ball, 9.5), beta0_of_lambda(ball, 1e-3)
+        monkeypatch.setattr(spectral, "_brentq", brentq)
+        want = critical_beta(v), principal_eigenvalue(ball, 9.5), beta0_of_lambda(ball, 1e-3)
+        assert got == want

@@ -15,17 +15,24 @@ import dataclasses
 import hashlib
 import math
 import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from polymer_lab.laplace import kernel_closed_form, zbar_correction
-from polymer_lab.radial import RadialDensity
+from polymer_lab.radial import RadialDensity, default_radial_grid
 from polymer_lab.zerorange import (
     GridExhaustionError,
     ZeroRangeParams,
     _inverse_cdf,
+    _seed_pcg64,
+    _simpson,
+    _spawn_words,
     _step_rows,
     _tables,
     _walk,
@@ -347,6 +354,40 @@ class TestSampler:
             "ada68facc334cfce088a412dc288aa20f39e3cff74235f496ece595e9feaf4ec"
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    def test_streams_match_spawned_generators(self, seed):
+        n = 3000
+        words = _spawn_words(seed, n)
+        children = np.random.SeedSequence(seed).spawn(n)
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        assert np.array_equal(words, [c.generate_state(4, np.uint64) for c in children])
+        bitgen = np.random.PCG64(0)
+        for w, child in zip(words.tolist(), children):
+            _seed_pcg64(bitgen, w)
+            assert bitgen.state == np.random.PCG64(child).state
+        # a child's words do not depend on how many siblings there are
+        assert np.array_equal(_spawn_words(seed, 17), words[:17])
+
+    def test_negative_seed_raises_seedsequences_error(self):
+        with pytest.raises(ValueError) as want:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            sample_paths(ZeroRangeParams(1.0), 4, 10, seed=-1)
+
+    def test_spawn_keys_stay_one_word(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            _spawn_words(0, 2**32 + 1)
+
+    def test_oversized_n_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n = 1000000000000 paths need"):
+                sample_paths(ZeroRangeParams(1.0), 8, 10**12, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_table_memory_independent_of_steps(self):
         def held(tab):
             return sum(a.nbytes for a in vars(tab).values() if isinstance(a, np.ndarray))
@@ -371,6 +412,36 @@ class TestSampler:
             j = min(max(int(np.searchsorted(cdf, u[i], side="left")), 1), xs.size - 1)
             w = min(max((u[i] - cdf[j - 1]) / max(cdf[j] - cdf[j - 1], 1e-300), 0.0), 1.0)
             assert got[i] == xs[j - 1] + w * (xs[j] - xs[j - 1]), i
+
+
+class TestSimpsonPort:
+    """zerorange._simpson against scipy.integrate.simpson, its test oracle."""
+
+    @given(
+        steps=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=40),
+        rows=st.one_of(st.none(), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_bit_for_bit_on_drawn_grids(self, steps, rows, data):
+        # zero steps repeat a node, which takes the guarded divisions' zero
+        # branches; N = len(steps) + 1 runs over both parities
+        x = np.concatenate(([data.draw(st.floats(-5.0, 5.0))], steps)).cumsum()
+        shape = (x.size,) if rows is None else (rows, x.size)
+        values = data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=math.prod(shape), max_size=math.prod(shape)
+        ))
+        y = np.array(values).reshape(shape)
+        got, want = _simpson(y, x), simpson(y, x=x, axis=-1)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_bit_for_bit_on_the_sampler_grid(self):
+        x = default_radial_grid()
+        marg = marginal_radial(ZeroRangeParams(1.0), 1.0 / 64, grid=x).values
+        rows, _ = _step_rows(_tables(ZeroRangeParams(1.0), 64), 2, np.arange(0, 256, 9))
+        for y, xs in ((marg, x), (rows, x), (marg[:-1], x[:-1]), (rows[:, :-1], x[:-1])):
+            assert _simpson(y, xs).tobytes() == simpson(y, x=xs, axis=-1).tobytes()
 
 
 class TestGoldenTables:
