@@ -34,8 +34,8 @@ from .zerorange import (
     zbar,
 )
 from .heatflow import (
-    evolve_partition,
-    evolve_point_source,
+    partition,
+    point_source,
     verify_poten_family,
     verify_prop1,
     verify_prop3,
@@ -74,8 +74,8 @@ __all__ = [
     "transition_R",
     "transition_R0",
     "zbar",
-    "evolve_partition",
-    "evolve_point_source",
+    "partition",
+    "point_source",
     "verify_poten_family",
     "verify_prop1",
     "verify_prop3",

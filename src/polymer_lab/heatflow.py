@@ -27,14 +27,14 @@ Each transform is inverted by fixed Talbot quadrature (Abate-Valko) on
 _TALBOT_NODES nodes, with the contour shifted by the exact principal
 eigenvalue of L (spectral.principal_eigenvalue), or by 0 when there is
 none.  No mesh, time step or setting enters; a non-finite inversion
-raises ValueError naming t and beta.  Every profile lives on _GRID_NODES
-equally spaced radii on [0, 4 sqrt(t) + max(2, 2 R)], R the well's
-support.
+raises ValueError naming t and beta.  point_source and partition return
+the flow at exactly the radii the caller passes, so no grid or
+interpolation lies between a flow and its reader.
 
 The verify_* drivers compare finite-horizon output, diffusively rescaled,
 against the zero-range limit objects and report error tables over the
-horizon ladder; prop1 and prop3 invert the flow at their four radii
-directly, so no interpolation enters their rows.
+horizon ladder; prop1 and prop3 read the flow at their four radii, poten
+on 4,097 equally spaced radii out to r = 6.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from .radial import density_cdf
 from .spectral import compute_summary, gamma_of_chi, principal_eigenvalue
 
 __all__ = [
-    "HeatProfile",
     "ConvergenceTable",
-    "evolve_point_source",
-    "evolve_partition",
+    "point_source",
+    "partition",
     "verify_prop1",
     "verify_prop3",
     "verify_poten_family",
@@ -64,8 +63,6 @@ __all__ = [
 # Talbot nodes per inversion: M 24 and M 32 agree within 8.4e-10 (p) and
 # 1.3e-12 (Z) relative on every ladder point
 _TALBOT_NODES = 24
-# radii per profile
-_GRID_NODES = 4097
 
 # rescaled radii x at which the horizon ladders compare flow and limit
 _X_LIST = (0.25, 0.5, 1.0, 2.0)
@@ -73,21 +70,6 @@ _X_LIST = (0.25, 0.5, 1.0, 2.0)
 # marginal CDF is formed
 _POTEN_BETA = 1.0
 _POTEN_R_MAX = 6.0
-
-
-@dataclass(frozen=True)
-class HeatProfile:
-    """Radial profile f(r) of one evolved object at one time."""
-
-    t: float
-    grid: np.ndarray
-    values: np.ndarray
-
-    def interp(self, r):
-        out = np.interp(np.asarray(r, dtype=float), self.grid, self.values)
-        if out.ndim == 0:
-            return float(out)
-        return out
 
 
 def _cell_step(u, du, k, s):
@@ -131,8 +113,14 @@ def _invert(v: RadialPotential, beta: float, t: float, transform, r: np.ndarray)
     """Fixed Talbot inversion at time t of transform(v, beta, lam, r).
 
     The transform returns F(lam) per radius of r and per node lam; the
-    result is f(t) per radius.
+    result is f(t) per radius.  t must be positive and finite, r a 1-d
+    array of finite, nonnegative radii.
     """
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r < 0.0):
+        raise ValueError("radii must be a 1-d array of finite, nonnegative values")
     M = _TALBOT_NODES
     theta = math.pi * np.arange(1, M) / M
     cot = 1.0 / np.tan(theta)
@@ -236,39 +224,14 @@ def _partition_transform(v: RadialPotential, beta: float, lam: np.ndarray, r: np
     return w
 
 
-def _point_source(v: RadialPotential, beta: float, t: float, r: np.ndarray) -> np.ndarray:
-    """p(t, 0, r) at the radii r."""
+def point_source(v: RadialPotential, beta: float, t: float, r) -> np.ndarray:
+    """p(t, 0, r) at the radii r, for t > 0."""
     return _invert(v, beta, t, _point_source_transform, r)
 
 
-def _partition(v: RadialPotential, beta: float, t: float, r: np.ndarray) -> np.ndarray:
-    """Z(t, r) at the radii r."""
+def partition(v: RadialPotential, beta: float, t: float, r) -> np.ndarray:
+    """Z(t, r) at the radii r, for t > 0."""
     return 1.0 + _invert(v, beta, t, _partition_transform, r)
-
-
-def _profiles(v: RadialPotential, beta: float, times: Sequence[float], flow) -> list[HeatProfile]:
-    times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise ValueError("times must be positive")
-    out = []
-    for t in times:
-        grid = np.linspace(0.0, 4.0 * math.sqrt(t) + max(2.0, 2.0 * v.r_support), _GRID_NODES)
-        out.append(HeatProfile(t=t, grid=grid, values=flow(v, beta, t, grid)))
-    return out
-
-
-def evolve_point_source(
-    v: RadialPotential, beta: float, times: Sequence[float]
-) -> list[HeatProfile]:
-    """Fundamental solution profiles p(t, 0, r) at the given times."""
-    return _profiles(v, beta, times, _point_source)
-
-
-def evolve_partition(
-    v: RadialPotential, beta: float, times: Sequence[float]
-) -> list[HeatProfile]:
-    """Partition function profiles Z(t, r) at the given times."""
-    return _profiles(v, beta, times, _partition)
 
 
 @dataclass(frozen=True)
@@ -335,7 +298,7 @@ def verify_prop3(
     return _horizon_ladder(
         v, chi, T_list, t,
         lambda summary, gamma, xs: 1.0 + laplace.zbar_correction(gamma, xs, t) / xs,
-        lambda beta, T, r: _partition(v, beta, t * T, r),
+        lambda beta, T, r: partition(v, beta, t * T, r),
     )
 
 
@@ -355,7 +318,7 @@ def verify_prop1(
         v, chi, T_list, t,
         lambda summary, gamma, xs: summary.kappa * summary.psi.at_origin
         * laplace.kernel_closed_form(gamma, xs, t) / xs,
-        lambda beta, T, r: T * _point_source(v, beta, t * T, r),
+        lambda beta, T, r: T * point_source(v, beta, t * T, r),
     )
 
 
@@ -376,16 +339,13 @@ def verify_poten_family(
         raise ValueError("only the t = 1 marginal is wired up; reweight externally")
     params = zerorange.ZeroRangeParams(gamma=gamma)
     model = zerorange.marginal_radial(params, t)
-    model_cdf_grid = model.cdf()
+    r = np.linspace(0.0, _POTEN_R_MAX, 4097)
+    model_cdf = np.interp(r, model.grid, model.cdf())
     rows = []
     for eps in eps_list:
         v = scaled_ball_potential(eps, gamma)
-        [w] = evolve_point_source(v, _POTEN_BETA, [t])
-        keep = w.grid <= _POTEN_R_MAX
-        grid = w.grid[keep]
-        dens = w.values[keep] * grid * grid  # 4 pi absorbed by normalization
-        cdf = density_cdf(grid, dens)
-        model_cdf = np.interp(grid, model.grid, model_cdf_grid)
+        dens = point_source(v, _POTEN_BETA, t, r) * r * r  # 4 pi absorbed by normalization
+        cdf = density_cdf(r, dens)
         dist = float(np.max(np.abs(cdf - model_cdf)))
         if not math.isfinite(dist):
             raise ValueError(f"eps = {eps!r}: the flow's marginal is not finite (gamma = {gamma!r})")

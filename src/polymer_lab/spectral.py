@@ -53,13 +53,11 @@ __all__ = [
     "BracketError",
     "FitQualityError",
     "critical_beta",
-    "ground_state_psi",
     "principal_eigenvalue",
     "beta0_of_lambda",
     "gamma1_via_expansion",
     "compute_summary",
     "gamma_of_chi",
-    "alpha_of_f",
 ]
 
 
@@ -301,13 +299,6 @@ def _resonance(v: RadialPotential, beta_cr: float):
     return w, PsiFunction(grid=rs, values=psi, r_support=R)
 
 
-def ground_state_psi(v: RadialPotential, beta_cr: float | None = None) -> PsiFunction:
-    """Resonance profile psi = u/r at the critical coupling, with psi ~ 1/r outside."""
-    if beta_cr is None:
-        beta_cr = critical_beta(v)
-    return _resonance(v, beta_cr)[1]
-
-
 def principal_eigenvalue(v: RadialPotential, beta: float) -> float | None:
     """Principal eigenvalue of (1/2) Laplacian + beta v, or None when absent.
 
@@ -467,30 +458,3 @@ def gamma_of_chi(summary: SpectralSummary, chi: float) -> float:
     if not math.isfinite(chi):
         raise ValueError("chi must be finite")
     return summary.c * chi
-
-
-def alpha_of_f(
-    summary: SpectralSummary, f: Callable[[np.ndarray], np.ndarray], r_max: float | None = None
-) -> float:
-    """kappa * 4 pi int_0^{r_max} psi(r) f(r) r^2 dr.
-
-    With f = v this is 1/beta_cr by the definition of kappa, up to the
-    interpolation error of psi's table.  r_max defaults to the resonance
-    support.
-    """
-    psi = summary.psi
-    if r_max is None:
-        r_max = psi.r_support
-    if isinstance(f, RadialPotential) and r_max >= psi.r_support:
-        # between the table nodes and f's edges f is constant and psi linear
-        # (1/r past the support), so psi f r^2 is at most cubic and two
-        # Gauss-Legendre nodes per piece integrate it exactly
-        upper = max(psi.r_support, min(r_max, f.r_support))
-        edges = np.union1d(psi.grid, np.append(f.grid[f.grid < upper], upper))
-        a, h = edges[:-1, None], np.diff(edges)[:, None]
-        x = a + 0.5 * h * (1.0 + np.array([-1.0, 1.0]) / math.sqrt(3.0))
-        total = float(np.sum(0.5 * h * f(x) * psi(x) * x * x))
-        return summary.kappa * 4.0 * math.pi * total
-    grid = np.linspace(0.0, r_max, 8192)
-    vals = np.asarray(f(grid), dtype=float) * psi(grid) * grid * grid
-    return summary.kappa * 4.0 * math.pi * float(np.trapezoid(vals, grid))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfc
 
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .radial import RadialDensity, default_radial_grid, gauss_sphere_integral
@@ -204,6 +205,9 @@ def marginal_radial(
     """Radial density of |path(t)| under the origin-started unit bridge.
 
     4 pi r^2 R0(t, x) collapses to (2 / zeta) r I(gamma, r, t) Z(1 - t, r).
+    Where that product of separate factors overflows (gamma from about
+    37.5), it is redone with zeta's e^{gamma^2/2} divided out of I Z first,
+    so the density is finite wherever it fits a double.
     Normalized analytically; the returned table must integrate to 1 within
     1e-3 or the grid is rejected.
     """
@@ -216,12 +220,14 @@ def marginal_radial(
     if r.ndim != 1 or r.size < 8 or r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
         raise ValueError("grid must be 1-d, start at 0, and strictly increase")
     body = r[1:]
-    vals = (
-        (2.0 / zeta_constant(p.gamma))
-        * body
-        * kernel_closed_form(p.gamma, body, t)
-        * _zbar_closed(p.gamma, body, 1.0 - t)
-    )
+    # an overflow here is redone by _scaled_marginal below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (
+            (2.0 / zeta_constant(p.gamma))
+            * body
+            * kernel_closed_form(p.gamma, body, t)
+            * _zbar_closed(p.gamma, body, 1.0 - t)
+        )
     # r Z(1-t, r) -> J(gamma, 0, 1-t) as r -> 0, so the density does not
     # vanish at the origin for t < 1: the pinned path revisits it
     if t < 1.0:
@@ -232,9 +238,36 @@ def marginal_radial(
         )
     else:
         d0 = 0.0
-    dens = RadialDensity(grid=r, values=np.concatenate(([d0], vals)))
+    values = np.concatenate(([d0], vals))
+    big = ~np.isfinite(values)
+    if big.any():
+        values[big] = _scaled_marginal(p.gamma, r[big], t)
+    dens = RadialDensity(grid=r, values=values)
     dens.require_normalized(1e-3)
     return dens
+
+
+def _scaled_marginal(gamma: float, r: np.ndarray, t: float) -> np.ndarray:
+    """marginal_radial's density with e^{gamma^2/2} divided out of zeta and I Z.
+
+    e^{-r^2/2s} erfcx((r - gamma s)/sqrt(2s)) = e^{gamma^2 s/2 - gamma r} erfc(...),
+    so e^{-gamma^2 s/2} I(gamma, r, s) and e^{-gamma^2 s/2} J(gamma, r, s) keep
+    only e^{-gamma r} erfc, which cannot overflow for gamma, r >= 0.  The
+    kernel takes e^{-gamma^2 t/2}, Z(1 - t, r) the rest, and zeta = J(gamma, 0, 1)
+    all of it.  Valid for gamma > 0, the only side where the plain product
+    can overflow.
+    """
+    def scaled_j(x, s):
+        return (np.exp(-gamma * x) * erfc((x - gamma * s) / math.sqrt(2.0 * s))
+                - math.exp(-0.5 * gamma * gamma * s) * erfc(x / math.sqrt(2.0 * s))) / gamma
+
+    kern = (math.exp(-0.5 * gamma * gamma * t) * np.exp(-r * r / (2.0 * t)) / math.sqrt(_TWO_PI * t)
+            + 0.5 * gamma * np.exp(-gamma * r) * erfc((r - gamma * t) / math.sqrt(2.0 * t)))
+    if t < 1.0:
+        r_zbar = r * math.exp(-0.5 * gamma * gamma * (1.0 - t)) + scaled_j(r, 1.0 - t)
+    else:
+        r_zbar = r
+    return 2.0 * kern * r_zbar / scaled_j(0.0, 1.0)
 
 
 def pbar_sphere_mean(p: ZeroRangeParams, t, r_from, r_to):

@@ -260,13 +260,14 @@ def test_criterion_10_sampler_agrees_with_pde(ball, ball_summary):
 
     # marginal at an interior time factorizes into forward flow times the
     # partition function of the remaining window
-    w = heatflow.evolve_point_source(ball, beta, [t_rec])[0]
-    Z = heatflow.evolve_partition(ball, beta, [T - t_rec])[0]
-    dens = 4.0 * math.pi * w.grid**2 * w.values * Z.interp(w.grid)
-    mass = np.trapezoid(dens, w.grid)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(w.grid))])
+    r = np.linspace(0.0, 4.0 * math.sqrt(t_rec) + 2.0, 4097)
+    w = heatflow.point_source(ball, beta, t_rec, r)
+    Z = heatflow.partition(ball, beta, T - t_rec, r)
+    dens = 4.0 * math.pi * r**2 * w * Z
+    mass = np.trapezoid(dens, r)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(r))])
     cdf /= mass
-    quartiles = [float(np.interp(q, cdf, w.grid)) for q in (0.25, 0.5, 0.75)]
+    quartiles = [float(np.interp(q, cdf, r)) for q in (0.25, 0.5, 0.75)]
 
     import warnings
 

@@ -8,6 +8,7 @@ checks the module is runnable as installed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -70,7 +71,7 @@ class TestKernelCommand:
 class TestOverflowPaths:
     @pytest.mark.parametrize("argv", [
         ["kernel", "--gamma", "100", "--rho", "40", "--t", "1"],
-        ["marginal", "--gamma", "37.6", "--times", "0.5,1"],
+        ["marginal", "--gamma", "37.8"],
     ])
     def test_stderr_is_one_error_line(self, tmp_path, argv):
         # a real process, so numpy's RuntimeWarnings would reach its stderr
@@ -166,15 +167,39 @@ class TestMarginalCommand:
                 list(pair) for pair in zip(payload["r"], payload["density"])
             ]
 
+    def test_kernel_past_a_double_still_writes(self, tmp_path, capsys):
+        # at t = 1, I(37.6, r, 1) overflows near r = 0 while the density,
+        # I/zeta at most about gamma^2/2, fits a double
+        code = main(["marginal", "--gamma", "37.6", "--times", "0.5,1", "--out", str(tmp_path)])
+        assert code == 0
+        for t in ("0.5", "1"):
+            payload = json.loads((tmp_path / f"marginal_t{t}.json").read_text())
+            r, dens = np.array(payload["r"]), np.array(payload["density"])
+            assert np.all(np.isfinite(dens)) and np.all(dens >= 0.0)
+            assert np.trapezoid(dens, r) == pytest.approx(1.0, abs=1e-3)
+
+    def test_finite_tables_keep_their_bytes(self, tmp_path, capsys):
+        # at gamma 37.4 the plain product is finite everywhere, so the
+        # digests, taken before the overflow fallback existed, must hold
+        assert main(["marginal", "--gamma", "37.4", "--out", str(tmp_path)]) == 0
+        digests = {
+            "marginal_t0.5.csv": "e9e8dbd15177c30857dd2546b2cde18f744273ac0c83f8b80bab5664cb614376",
+            "marginal_t0.5.json": "329add329d038ae28e2b351b81d19c9aaeb24d9365addfa02969cb28edb4c7ec",
+            "marginal_t1.csv": "0fe1c6a9b2ffb8a9323fb2b9546679ff2d355b666897d2f2acdc2e097638bd54",
+            "marginal_t1.json": "a73dd0f9bb93021b0911fd7342a71cdfb0c0c00422185377e024d2076c743f21",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_overflowing_coupling_exits_1(self, tmp_path, capsys):
-        # zeta(60) ~ e^{1800}/30 overflows a double
-        code = main(["marginal", "--gamma", "60", "--out", str(tmp_path)])
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "gamma = 60.0" in err
-        assert not list(tmp_path.glob("marginal_*"))
+        # zeta(60) ~ e^{1800}/30 and zeta(37.8) ~ e^{714}/19 overflow a double
+        for gamma in ("60", "37.8"):
+            code = main(["marginal", "--gamma", gamma, "--out", str(tmp_path)])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: zeta(gamma) overflows a double at gamma = {float(gamma)!r}\n"
+            assert not list(tmp_path.glob("marginal_*"))
 
 
 class TestSampleCommand:

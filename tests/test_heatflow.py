@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import cn_oracle
-from cn_oracle import NonConvergedError, StepperConfig, duality_gap
+from cn_oracle import StepperConfig
 from polymer_lab import heatflow
 from polymer_lab.cli import _write_csv, _write_json
 from polymer_lab.heatflow import (
     ConvergenceTable,
-    evolve_partition,
-    evolve_point_source,
+    partition,
+    point_source,
     verify_poten_family,
     verify_prop1,
     verify_prop3,
@@ -33,31 +33,37 @@ def _heat_kernel(r, t):
     return np.exp(-r * r / (2.0 * t)) / (2.0 * math.pi * t) ** 1.5
 
 
+def _radii(t):
+    # 4,097 equally spaced radii out to 4 sqrt(t) + 2, past the unit ball
+    return np.linspace(0.0, 4.0 * math.sqrt(t) + 2.0, 4097)
+
+
 class TestEvolution:
     def test_free_flow_reproduces_heat_kernel(self, ball):
         # the Talbot rule's own accuracy: r <= 2 sqrt(t), where the kernel is
         # at least e^{-2} of its peak, over six decades of t
         for t in (0.01, 0.1, 1.0, 25.0, 400.0, 6400.0):
-            [prof] = evolve_point_source(ball, 0.0, [t])
-            near = prof.grid <= 2.0 * math.sqrt(t)
-            exact = _heat_kernel(prof.grid[near], t)
-            assert np.max(np.abs(prof.values[near] / exact - 1.0)) < 1e-9, t
-        # out to r^2 / 2t = 9: the profile's linear interpolation dominates,
-        # the inversion itself stays within 1e-8
+            grid = _radii(t)
+            grid = grid[grid <= 2.0 * math.sqrt(t)]
+            exact = _heat_kernel(grid, t)
+            assert np.max(np.abs(point_source(ball, 0.0, t, grid) / exact - 1.0)) < 1e-9, t
+        # out to r^2 / 2t = 9: linear interpolation between the 4,097 radii
+        # dominates, the inversion itself stays within 1e-8
         r = np.linspace(0.1, 3.0, 13)
         for t in (0.5, 1.0):
-            [prof] = evolve_point_source(ball, 0.0, [t])
+            grid = _radii(t)
             exact = _heat_kernel(r, t)
-            assert np.max(np.abs(prof.interp(r) / exact - 1.0)) < 1e-5, t
-            assert np.max(np.abs(heatflow._point_source(ball, 0.0, t, r) / exact - 1.0)) < 1e-7, t
+            interp = np.interp(r, grid, point_source(ball, 0.0, t, grid))
+            assert np.max(np.abs(interp / exact - 1.0)) < 1e-5, t
+            assert np.max(np.abs(point_source(ball, 0.0, t, r) / exact - 1.0)) < 1e-7, t
 
     def test_free_flow_tail_error_is_absolute(self, ball):
         # Talbot's error is about fixed in absolute terms, so in the tail it
         # is bounded against the peak, not the local value: over every grid
         # radius, out to r^2 / 2t = 18 at t = 1 and 288 at t = 0.01
         for t in (0.01, 0.1, 1.0, 25.0, 400.0, 6400.0):
-            [prof] = evolve_point_source(ball, 0.0, [t])
-            err = np.max(np.abs(prof.values - _heat_kernel(prof.grid, t)))
+            grid = _radii(t)
+            err = np.max(np.abs(point_source(ball, 0.0, t, grid) - _heat_kernel(grid, t)))
             assert err < 1e-9 * _heat_kernel(0.0, t), t
 
     def test_narrow_well_tail_is_node_independent(self, monkeypatch):
@@ -65,26 +71,26 @@ class TestEvolution:
         # r = 6 at t = 1: 24 and 32 Talbot nodes agree against its peak
         v = scaled_ball_potential(0.125, 0.0)
         r = np.linspace(0.0, 6.0, 601)
-        coarse = heatflow._point_source(v, 1.0, 1.0, r)
+        coarse = point_source(v, 1.0, 1.0, r)
         monkeypatch.setattr(heatflow, "_TALBOT_NODES", 32)
-        fine = heatflow._point_source(v, 1.0, 1.0, r)
+        fine = point_source(v, 1.0, 1.0, r)
         assert np.max(np.abs(coarse - fine)) < 1e-9 * np.max(fine)
 
     def test_free_flow_conserves_mass(self, ball):
-        # trapezoid on the profile's grid, which ends at r = 6 here
-        prof = evolve_point_source(ball, 0.0, [1.0])[0]
-        mass = np.trapezoid(4.0 * math.pi * prof.grid**2 * prof.values, prof.grid)
+        # trapezoid on 4,097 radii out to r = 6
+        grid = _radii(1.0)
+        mass = np.trapezoid(4.0 * math.pi * grid**2 * point_source(ball, 0.0, 1.0, grid), grid)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_partition_is_one_without_coupling(self, ball):
-        prof = evolve_partition(ball, 0.0, [1.0])[0]
-        assert np.max(np.abs(prof.values - 1.0)) < 1e-10
+        z = partition(ball, 0.0, 1.0, _radii(1.0))
+        assert np.max(np.abs(z - 1.0)) < 1e-10
 
     def test_partition_bounded_below_by_one(self, ball):
         # Z is an exponential moment of a nonnegative functional
-        prof = evolve_partition(ball, 1.0, [1.0])[0]
-        assert np.all(prof.values >= 1.0 - 1e-9)
-        assert prof.interp(0.0) > 1.5
+        z = partition(ball, 1.0, 1.0, _radii(1.0))
+        assert np.all(z >= 1.0 - 1e-9)
+        assert z[0] > 1.5
 
     def test_point_source_mass_equals_partition_value(self, ball):
         # 4 pi int p(t, 0, r) r^2 dr = Z(t, 0): both sides are the expected
@@ -97,55 +103,32 @@ class TestEvolution:
                 mass = 0.0
                 for a, b in zip(edges[:-1], edges[1:]):
                     r = a + 0.5 * (b - a) * (x + 1.0)
-                    p = heatflow._point_source(v, beta, t, r)
+                    p = point_source(v, beta, t, r)
                     mass += 4.0 * math.pi * 0.5 * (b - a) * np.sum(w * p * r * r)
-                z0 = evolve_partition(v, beta, [t])[0].values[0]
+                [z0] = partition(v, beta, t, np.array([0.0]))
                 assert abs(mass / z0 - 1.0) < 1e-9, (v.grid, beta, t)
-
-    def test_profile_interp_hits_nodes(self, ball):
-        prof = evolve_partition(ball, 1.0, [1.0])[0]
-        k = len(prof.grid) // 3
-        assert prof.interp(float(prof.grid[k])) == pytest.approx(
-            float(prof.values[k]), rel=1e-12
-        )
-
-    def test_grid_depends_only_on_time_and_support(self, ball):
-        p, later = evolve_point_source(ball, 1.0, [4.0, 1.0])
-        [z] = evolve_partition(CELLS, 0.5, [4.0])
-        assert (p.t, later.t) == (1.0, 4.0)
-        np.testing.assert_array_equal(p.grid, np.linspace(0.0, 6.0, 4097))
-        np.testing.assert_array_equal(later.grid, np.linspace(0.0, 10.0, 4097))
-        np.testing.assert_array_equal(z.grid, np.linspace(0.0, 10.4, 4097))
 
     def test_non_finite_inversion_raises(self, ball):
         # e^{lam0 t} with lam0 about 1233 overflows a double
         with pytest.raises(ValueError, match=r"t = 1\.0: the flow value is not finite \(beta = 1000\.0\)"):
-            evolve_point_source(ball, 1000.0, [1.0])
-        with pytest.raises(ValueError, match="times must be positive"):
-            evolve_partition(ball, 1.0, [0.0, 1.0])
+            point_source(ball, 1000.0, 1.0, _radii(1.0))
 
-    def test_duality_gap_forwards_config_to_both_runs(self, ball, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize("flow", [point_source, partition])
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_time(self, ball, flow, t):
+        # without the check t = -1 returned 1095 for p at r = 0.5
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            flow(ball, 1.0, t, np.array([0.5]))
 
-        def recording(evolve):
-            def run(v, beta, times, cfg=None):
-                seen.append((evolve.__name__, cfg))
-                return evolve(v, beta, times, cfg)
-            return run
-
-        for name in ("evolve_point_source", "evolve_partition"):
-            monkeypatch.setattr(cn_oracle, name, recording(getattr(cn_oracle, name)))
-        cfg = StepperConfig.auto_point_source(ball, 1.0, 1.0)
-        assert duality_gap(ball, 1.0, 1.0, cfg) < 1e-4
-        assert seen == [("evolve_point_source", cfg), ("evolve_partition", cfg)]
-
-    def test_halving_check_accepts_default_schedule(self, ball):
-        cn_oracle.evolve_point_source(ball, 1.0, [0.5], verify_dt=True)
-
-    def test_halving_check_rejects_coarse_schedule(self, ball):
-        cfg = StepperConfig(L=8.0, h=0.25, t0=0.01, dt0=0.25, growth=1.0, dt_max=0.25)
-        with pytest.raises(NonConvergedError, match="halving dt"):
-            cn_oracle.evolve_point_source(ball, 4.0, [1.0], cfg=cfg, verify_dt=True)
+    @pytest.mark.parametrize("flow", [point_source, partition])
+    @pytest.mark.parametrize(
+        "r", [[-0.5], [0.5, math.nan], [math.inf], [[0.5, 1.0]], 0.5],
+        ids=["negative", "nan", "inf", "2-d", "scalar"],
+    )
+    def test_rejects_bad_radii(self, ball, flow, r):
+        # without the check r = -0.5 gave p = -0.078 and Z = 0.52 < 1
+        with pytest.raises(ValueError, match="radii must be a 1-d array"):
+            flow(ball, 1.0, 1.0, r)
 
 
 class TestOracleGate:
@@ -161,7 +144,7 @@ class TestOracleGate:
             for T in (25.0, 100.0, 400.0):
                 beta = beta_cr + chi / math.sqrt(T)
                 r = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(T)
-                exact = heatflow._partition(v, beta, T, r)
+                exact = partition(v, beta, T, r)
                 base = StepperConfig.auto_partition(v, beta, T)
                 gaps = []
                 for f in (1.0, 0.5, 0.25):
@@ -181,15 +164,16 @@ class TestGradedMesh:
     def test_far_field_matches_heat_kernel(self, ball):
         T = 400.0
         r = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(T)
-        free_profile = evolve_point_source(ball, 0.0, [T])[0]
         exact = _heat_kernel(r, T)
-        assert np.max(np.abs(heatflow._point_source(ball, 0.0, T, r) / exact - 1.0)) < 1e-9
-        # the profile's linear interpolation adds (h^2/8) |f''|, h = 82/4096
-        assert np.max(np.abs(free_profile.interp(r) / exact - 1.0)) < 1e-6
+        assert np.max(np.abs(point_source(ball, 0.0, T, r) / exact - 1.0)) < 1e-9
+        # linear interpolation between 4,097 radii adds (h^2/8) |f''|, h = 82/4096
+        grid = _radii(T)
+        interp = np.interp(r, grid, point_source(ball, 0.0, T, grid))
+        assert np.max(np.abs(interp / exact - 1.0)) < 1e-6
 
     def test_partition_stays_one_at_long_horizon(self, ball):
-        prof = evolve_partition(ball, 0.0, [400.0])[0]
-        assert np.max(np.abs(prof.values - 1.0)) < 1e-10
+        z = partition(ball, 0.0, 400.0, _radii(400.0))
+        assert np.max(np.abs(z - 1.0)) < 1e-10
 
     def test_grid_is_graded_with_uniform_start(self, ball):
         h = StepperConfig.auto_point_source(ball, 0.0, 400.0).h

@@ -12,13 +12,11 @@ from polymer_lab.spectral import (
     FitQualityError,
     _brentq,
     SpectralSummary,
-    alpha_of_f,
     beta0_of_lambda,
     compute_summary,
     critical_beta,
     gamma1_via_expansion,
     gamma_of_chi,
-    ground_state_psi,
     principal_eigenvalue,
 )
 
@@ -88,9 +86,9 @@ class TestBeta0OfLambda:
 
 
 class TestGroundState:
-    def test_ball_profile_is_sinc(self, ball):
+    def test_ball_profile_is_sinc(self, ball_summary):
         # psi(r) = sin(pi r / 2) / r inside the well, A/r outside (A = 1)
-        psi = ground_state_psi(ball)
+        psi = ball_summary.psi
         rs = np.array([0.25, 0.5, 0.9])
         ref = np.sin(math.pi * rs / 2.0) / rs
         assert np.allclose(psi(rs), ref, rtol=2e-3)
@@ -180,27 +178,6 @@ class TestExactCellSolution:
         values = rng.uniform(0.0, 3.0, 200)
         v = RadialPotential(grid=np.concatenate(([0.0], np.cumsum(widths))), values=values)
         _check_exact_constants(v, 0.3)
-
-
-class TestAlphaOfF:
-    def test_potential_recovers_inverse_coupling(self, ball, ball_summary):
-        got = alpha_of_f(ball_summary, ball)
-        assert got == pytest.approx(1.0 / ball_summary.beta_cr, rel=1e-6)
-
-    def test_potential_wider_than_the_resonance(self, ball_summary):
-        # f = v0 on r <= 2 against psi = sin(pi r/2)/r inside 1, 1/r outside:
-        # 4 pi v0 (int_0^1 r sin(pi r/2) dr + int_1^2 r dr) = 4 pi v0 (4/pi^2 + 3/2)
-        f = scaled_ball_potential(2.0)
-        got = alpha_of_f(ball_summary, f, r_max=5.0)
-        want = ball_summary.kappa * 4.0 * math.pi * f.v_max * (4.0 / math.pi**2 + 1.5)
-        assert got == pytest.approx(want, rel=1e-6)
-
-    def test_constant_profile_reduces_to_psi_mass(self, ball_summary):
-        got = alpha_of_f(ball_summary, lambda r: np.ones_like(r), r_max=40.0)
-        psi = ball_summary.psi
-        r = np.linspace(1e-6, 40.0, 200001)
-        ref = ball_summary.kappa * 4.0 * math.pi * np.trapezoid(psi(r) * r * r, r)
-        assert got == pytest.approx(ref, rel=1e-4)
 
 
 # root-finding test functions f(x; c, s) with a sign change near c; the last

@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from polymer_lab import zerorange
 from polymer_lab.laplace import kernel_closed_form, zbar_correction
 from polymer_lab.radial import RadialDensity, default_radial_grid
 from polymer_lab.zerorange import (
@@ -230,6 +231,18 @@ class TestRadialMarginal:
             d0.append(float(m.values[0]))
         assert all(a < b for a, b in zip(cdf_half, cdf_half[1:]))
         assert all(a < b for a, b in zip(d0, d0[1:]))
+
+    @pytest.mark.parametrize("gamma", [1.0, 20.0, 37.4])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0])
+    def test_scaled_route_matches_plain_product(self, gamma, t):
+        # the overflow fallback against the plain product where that is a
+        # finite, normal double (below ~1e-200 the plain product passes
+        # through subnormals on the way and loses digits)
+        m = marginal_radial(ZeroRangeParams(gamma), t)
+        got = zerorange._scaled_marginal(gamma, m.grid, t)
+        ok = m.values > 1e-200
+        assert np.max(np.abs(got[ok] / m.values[ok] - 1.0)) < 1e-11
+        assert got[~ok].max(initial=0.0) < 1e-190
 
     def test_custom_grid(self):
         grid = np.linspace(0.0, 10.0, 2001)
