@@ -36,9 +36,11 @@ from .laplace import kernel_integral
 from .potentials import RadialPotential, scaled_ball_potential
 from .zerorange import GridExhaustionError, ZeroRangeParams
 
-# Sweep the import's objects once, here.  Otherwise the interpreter's first
-# full collection comes due inside the first command that allocates, and
-# adds 15-20 ms to it (measured on `spectral`, 2-vCPU Xeon).
+# Sweep the import's objects once, here (about 24k objects, 5-7 ms).
+# Otherwise the interpreter's first full collection comes due inside the
+# first command that allocates: `spectral` run first took a median 51 ms
+# without this sweep against 42 ms with it (15 fresh interpreters each,
+# 2-vCPU Xeon).
 gc.collect()
 
 __all__ = ["RunConfig", "load_potential", "run", "main"]

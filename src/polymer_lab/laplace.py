@@ -8,9 +8,10 @@ transform
 and every observable of the limit measures is built from it and from its
 time integral J.  Both have elementary closed forms in erfc and erfcx,
 which are the package's only route to them, for point calls and grids
-alike.  The Bromwich contour quadrature that evaluates the integral
-directly is a test oracle: it lives with the tests (``tests/bromwich.py``)
-and pins these closed forms there.
+alike.  erfc and erfcx are the package's own (:mod:`._special`); SciPy is
+not imported at run time.  The Bromwich contour quadrature that evaluates
+the integral directly is a test oracle: it lives with the tests
+(``tests/bromwich.py``) and pins these closed forms there.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcx
+
+from ._special import erfc, erfcx
 
 __all__ = [
     "kernel_integral",

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral, zerorange
+from ._streams import refuse_oversized, seed_pcg64, spawn_words
 from .laplace import kernel_closed_form
 from .potentials import RadialPotential
 from .radial import gauss_sphere_integral, wiener_radial_cdf
@@ -208,10 +209,10 @@ def sample_weighted_paths(
     n = int(n)
     # positions at the record times, the log-weight and four stream words
     # per path; the workers' buffers are bounded by _BLOCK_BYTES
-    zerorange._refuse_oversized(n, 8 * n * (3 * rec_idx.size + 5))
+    refuse_oversized(n, 8 * n * (3 * rec_idx.size + 5))
     # stream i belongs to path i whatever n, the block size or the worker
     # count is
-    words = zerorange._spawn_words(seed, n)
+    words = spawn_words(seed, n)
     positions = np.empty((n, rec_idx.size, 3))
     log_weights = np.empty(n)
     # Paths go in blocks of about _BLOCK_BYTES per buffer, so every pass
@@ -229,7 +230,7 @@ def sample_weighted_paths(
 
         def normals(i, out):
             # path i's stream: the worker's one generator, re-seeded
-            zerorange._seed_pcg64(gen.bit_generator, words[i].tolist())
+            seed_pcg64(gen.bit_generator, words[i].tolist())
             gen.standard_normal(out=out)
 
         # increments, path, r^2 and v; coordinates-major so the cumsum runs

@@ -3,6 +3,7 @@
 All the measures compared in this package are spherically symmetric, so a
 one-dimensional density of the radial coordinate is the common currency
 between closed-form marginals, PDE profiles, and weighted path ensembles.
+The Maxwell law's erf is the package's own (:mod:`._special`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+
+from ._special import erf
 
 __all__ = [
     "RadialDensity",

@@ -13,19 +13,21 @@ path sampler whose one-step kernel is tabulated once, whatever the step count.
 Point calls (`pbar`, `zbar`, and everything composed from them) and
 grid-level machinery (marginals, sampler tables) use the same closed forms
 from :mod:`.laplace`; the Bromwich quadrature is a test oracle that pins
-them in the test suite.
+them in the test suite.  The overflow-free marginal takes erfc from
+:mod:`._special`, and the sampler's per-path streams come from
+:mod:`._streams`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
+from ._special import erfc
+from ._streams import refuse_oversized, seed_pcg64, spawn_words
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .radial import RadialDensity, default_radial_grid, gauss_sphere_integral
 
@@ -47,6 +49,7 @@ __all__ = [
 _TAIL_DEFICIT = 1e-6
 
 _TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 
 class GridExhaustionError(RuntimeError):
@@ -206,8 +209,10 @@ def marginal_radial(
 
     4 pi r^2 R0(t, x) collapses to (2 / zeta) r I(gamma, r, t) Z(1 - t, r).
     Where that product of separate factors overflows (gamma from about
-    37.5), it is redone with zeta's e^{gamma^2/2} divided out of I Z first,
-    so the density is finite wherever it fits a double.
+    37.5), or where (2 / zeta) r I underflows before Z(1 - t, r) scales it
+    back up (large gamma, far tail), it is redone with zeta's e^{gamma^2/2}
+    divided out of I Z first, so the density keeps its digits wherever it
+    fits a double.
     Normalized analytically; the returned table must integrate to 1 within
     1e-3 or the grid is rejected.
     """
@@ -222,12 +227,8 @@ def marginal_radial(
     body = r[1:]
     # an overflow here is redone by _scaled_marginal below
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (
-            (2.0 / zeta_constant(p.gamma))
-            * body
-            * kernel_closed_form(p.gamma, body, t)
-            * _zbar_closed(p.gamma, body, 1.0 - t)
-        )
+        head = (2.0 / zeta_constant(p.gamma)) * body * kernel_closed_form(p.gamma, body, t)
+        vals = head * _zbar_closed(p.gamma, body, 1.0 - t)
     # r Z(1-t, r) -> J(gamma, 0, 1-t) as r -> 0, so the density does not
     # vanish at the origin for t < 1: the pinned path revisits it
     if t < 1.0:
@@ -239,9 +240,12 @@ def marginal_radial(
     else:
         d0 = 0.0
     values = np.concatenate(([d0], vals))
-    big = ~np.isfinite(values)
-    if big.any():
-        values[big] = _scaled_marginal(p.gamma, r[big], t)
+    redo = ~np.isfinite(values)
+    if p.gamma > 0.0:
+        # a subnormal head has lost digits that Z(1 - t, r) would scale back up
+        redo[1:] |= head < _TINY
+    if redo.any():
+        values[redo] = _scaled_marginal(p.gamma, r[redo], t)
     dens = RadialDensity(grid=r, values=values)
     dens.require_normalized(1e-3)
     return dens
@@ -468,103 +472,6 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
     return out
 
 
-# SeedSequence's pool size and hash constants (numpy.random.bit_generator),
-# and PCG64's 128-bit LCG multiplier
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
-    # SeedSequence's hashmix on uint32 words; also returns the next constant
-    nxt = (hash_const * mult) & 0xFFFFFFFF
-    value = (value ^ hash_const) * nxt
-    return value ^ (value >> 16), nxt
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
-
-
-def _spawn_words(seed: int, n: int) -> np.ndarray:
-    """Row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64).
-
-    SeedSequence's mixing runs on every child's uint32 words in one numpy
-    pass: a child's entropy is the seed's 32-bit words, zero-padded to the
-    pool size, followed by its spawn key i.  Shape (n, 4), dtype uint64.
-    """
-    # SeedSequence itself validates the seed (a negative one raises ValueError)
-    entropy = int(np.random.SeedSequence(seed).entropy)
-    if n > 1 << 32:
-        raise ValueError(f"n = {n} needs spawn keys wider than one 32-bit word")
-    words = []
-    while True:
-        words.append(np.full(n, entropy & 0xFFFFFFFF, dtype=np.uint32))
-        entropy >>= 32
-        if not entropy:
-            break
-    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(words))
-    words.append(np.arange(n, dtype=np.uint32))
-    # mix_entropy: hash the first pool-size words in, cross-mix the pool,
-    # then mix each remaining word into every pool word
-    hc = _INIT_A
-    pool = []
-    for w in words[:_POOL_WORDS]:
-        h, hc = _hashmix(w, hc, _MULT_A)
-        pool.append(h)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            h, hc = _hashmix(w, hc, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-    # generate_state: eight uint32 words cycled off the pool, paired
-    # little-endian into four uint64 words
-    hc = _INIT_B
-    out = []
-    for i in range(2 * _POOL_WORDS):
-        h, hc = _hashmix(pool[i % _POOL_WORDS], hc, _MULT_B)
-        out.append(h.astype(np.uint64))
-    return np.stack([out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)], axis=1)
-
-
-def _seed_pcg64(bitgen: np.random.PCG64, words) -> None:
-    """Put bitgen in the state PCG64 starts in when seeded with these words.
-
-    words are a child's generate_state(4, np.uint64) as Python ints; PCG64
-    reads them as the 128-bit (initstate, initseq) and steps its LCG twice.
-    """
-    initstate = (words[0] << 64) | words[1]
-    inc = ((((words[2] << 64) | words[3]) << 1) | 1) & _MASK128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _refuse_oversized(n: int, nbytes: int) -> None:
-    """ValueError when a sample's estimated arrays exceed physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf here: skip
-        return
-    if nbytes > physical:
-        raise ValueError(
-            f"n = {n} paths need about {nbytes / 2**30:.3g} GiB, more than the "
-            f"{physical / 2**30:.3g} GiB of physical memory"
-        )
-
-
 def _check_steps(n_steps: int) -> int:
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -585,12 +492,12 @@ def sample_paths(
     n_paths = int(n_paths)
     # per path: the uniforms, the walk's output, four stream words and
     # about 24 values of the walk's per-step work arrays
-    _refuse_oversized(n_paths, 8 * n_paths * (2 * n_steps + 29))
-    words = _spawn_words(seed, n_paths)
+    refuse_oversized(n_paths, 8 * n_paths * (2 * n_steps + 29))
+    words = spawn_words(seed, n_paths)
     tab = _tables(p, n_steps)
     gen = np.random.Generator(np.random.PCG64(0))
     uniforms = np.empty((n_paths, n_steps))
     for i in range(n_paths):
-        _seed_pcg64(gen.bit_generator, words[i].tolist())
+        seed_pcg64(gen.bit_generator, words[i].tolist())
         gen.random(out=uniforms[i])
     return _walk(tab, uniforms)

@@ -180,13 +180,16 @@ class TestMarginalCommand:
 
     def test_finite_tables_keep_their_bytes(self, tmp_path, capsys):
         # at gamma 37.4 the plain product is finite everywhere, so the
-        # digests, taken before the overflow fallback existed, must hold
+        # overflow fallback must leave these digests alone.  Re-pinned once
+        # when erfcx's reflection moved to the package's own erfcx (largest
+        # relative change 5.7e-14; old and new tables are both within 3.1e-13
+        # of 50-digit values)
         assert main(["marginal", "--gamma", "37.4", "--out", str(tmp_path)]) == 0
         digests = {
-            "marginal_t0.5.csv": "e9e8dbd15177c30857dd2546b2cde18f744273ac0c83f8b80bab5664cb614376",
-            "marginal_t0.5.json": "329add329d038ae28e2b351b81d19c9aaeb24d9365addfa02969cb28edb4c7ec",
-            "marginal_t1.csv": "0fe1c6a9b2ffb8a9323fb2b9546679ff2d355b666897d2f2acdc2e097638bd54",
-            "marginal_t1.json": "a73dd0f9bb93021b0911fd7342a71cdfb0c0c00422185377e024d2076c743f21",
+            "marginal_t0.5.csv": "af16f9d544386833efd415ee91883d89f71848e2dccb5040c8acfa8b2b1f6f9a",
+            "marginal_t0.5.json": "da1728bd14648a823d3d9d3d23262b803351f035baa35570ef10e7e4e404d372",
+            "marginal_t1.csv": "b970dafa1aa7302660a2ad60f9827ab7b52d3317de6760d68d4e1c4f91ca61a9",
+            "marginal_t1.json": "0a8b42e47e0b13ed1d08c902d622432acdbd7771aa89e2471a75abef836df583",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -427,21 +430,21 @@ class TestUsage:
         assert main(["verify-prop3", "--T", "9;25"]) == 1
         assert "comma-separated" in capsys.readouterr().err
 
-    def test_import_loads_scipy_special_only(self):
+    def test_import_loads_no_scipy_subpackage(self):
         # a fresh interpreter, as for every command: start-up pays for each
-        # SciPy subpackage the import pulls in
+        # SciPy subpackage the import pulls in, and the package loads none
+        # (``import scipy`` alone, for the manifest's version, loads modules
+        # such as scipy.version but no subpackage)
         code = (
             "import sys, polymer_lab.cli; "
             "print(sorted(m for m in sys.modules if m.count('.') == 1 "
-            "and m.startswith('scipy.') and not m.startswith('scipy._')))"
+            "and m.startswith('scipy.') and not m.startswith('scipy._') "
+            "and hasattr(sys.modules[m], '__path__')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.strip()
-        for heavy in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
-            assert repr(heavy) not in loaded
-        assert "'scipy.special'" in loaded
+        assert proc.stdout.strip() == "[]"
 
     def test_module_is_runnable(self, tmp_path):
         proc = subprocess.run(

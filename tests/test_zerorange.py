@@ -25,15 +25,14 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from polymer_lab import zerorange
-from polymer_lab.laplace import kernel_closed_form, zbar_correction
+from polymer_lab._streams import seed_pcg64, spawn_words
+from polymer_lab.laplace import kernel_closed_form, zbar_correction, zeta_constant
 from polymer_lab.radial import RadialDensity, default_radial_grid
 from polymer_lab.zerorange import (
     GridExhaustionError,
     ZeroRangeParams,
     _inverse_cdf,
-    _seed_pcg64,
     _simpson,
-    _spawn_words,
     _step_rows,
     _tables,
     _walk,
@@ -244,6 +243,25 @@ class TestRadialMarginal:
         assert np.max(np.abs(got[ok] / m.values[ok] - 1.0)) < 1e-11
         assert got[~ok].max(initial=0.0) < 1e-190
 
+    def test_far_tail_keeps_its_digits(self):
+        # at gamma 37.4, t 0.3 the plain product's first factors, (2/zeta) r I,
+        # underflow before Z(1 - t, r) scales them back up (a density of
+        # 6.8e-229 came out 0); those elements come from the scaled route
+        m = marginal_radial(ZeroRangeParams(37.4), 0.3)
+        want = zerorange._scaled_marginal(37.4, m.grid, 0.3)
+        ok = want >= np.finfo(float).tiny
+        assert np.all(np.abs(m.values[ok] / want[ok] - 1.0) <= 1e-12)
+
+    def test_far_tail_fix_leaves_other_elements_alone(self):
+        # at t 0.5 no partial product underflows: every body element is
+        # the plain product, bit for bit
+        gamma, t = 37.4, 0.5
+        m = marginal_radial(ZeroRangeParams(gamma), t)
+        r = m.grid[1:]
+        plain = (2.0 / zeta_constant(gamma)) * r * kernel_closed_form(gamma, r, t) \
+            * _zbar_vec(gamma, 1.0 - t, r)
+        assert np.array_equal(m.values[1:], plain)
+
     def test_custom_grid(self):
         grid = np.linspace(0.0, 10.0, 2001)
         m = marginal_radial(ZeroRangeParams(1.0), 0.5, grid=grid)
@@ -361,25 +379,27 @@ class TestSampler:
 
     def test_paths_pinned_bit_for_bit(self):
         # pins the draws themselves: any change in the order of the table's
-        # or the walk's floating-point operations shows up here
+        # or the walk's floating-point operations shows up here.  Re-pinned
+        # once when the table's erfcx moved to the package's own (largest
+        # relative change: 4.9e-16 in the table, 2.7e-14 in the paths)
         paths = sample_paths(ZeroRangeParams(1.0), 64, 2000, seed=101)
         assert hashlib.sha256(paths.tobytes()).hexdigest() == (
-            "ada68facc334cfce088a412dc288aa20f39e3cff74235f496ece595e9feaf4ec"
+            "5be8804c16ee16d609b3c9749a78be16b67eb36c7234b9739de454b809ed32b0"
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
     def test_streams_match_spawned_generators(self, seed):
         n = 3000
-        words = _spawn_words(seed, n)
+        words = spawn_words(seed, n)
         children = np.random.SeedSequence(seed).spawn(n)
         assert words.dtype == np.uint64 and words.shape == (n, 4)
         assert np.array_equal(words, [c.generate_state(4, np.uint64) for c in children])
         bitgen = np.random.PCG64(0)
         for w, child in zip(words.tolist(), children):
-            _seed_pcg64(bitgen, w)
+            seed_pcg64(bitgen, w)
             assert bitgen.state == np.random.PCG64(child).state
         # a child's words do not depend on how many siblings there are
-        assert np.array_equal(_spawn_words(seed, 17), words[:17])
+        assert np.array_equal(spawn_words(seed, 17), words[:17])
 
     def test_negative_seed_raises_seedsequences_error(self):
         with pytest.raises(ValueError) as want:
@@ -389,7 +409,7 @@ class TestSampler:
 
     def test_spawn_keys_stay_one_word(self):
         with pytest.raises(ValueError, match="32-bit"):
-            _spawn_words(0, 2**32 + 1)
+            spawn_words(0, 2**32 + 1)
 
     def test_oversized_n_refused_before_allocating(self):
         tracemalloc.start()
