@@ -9,11 +9,14 @@ materialized (defaults included), library versions, wall time, and the exit
 code, so a run is reproducible from its manifest and the same binary.
 
 This module alone knows the file formats.  ``marginal`` and the verify
-commands write each table twice, as ``<name>.json`` (the report's fields,
-indented by 2) and ``<name>.csv`` (a header and one row per entry, CRLF
-line ends); ``sample`` writes ``paths.csv``, ``spectral`` and ``kernel`` one
-JSON file each.  Numbers are written with repr(), i.e. shortest round-trip
-decimal.
+commands write each table twice, as ``<name>.json`` (the report's fields)
+and ``<name>.csv`` (a header and one row per entry, CRLF line ends);
+``sample`` writes ``paths.csv``, ``spectral`` and ``kernel`` one JSON file
+each.  Numbers are written with repr(), i.e. shortest round-trip decimal.
+Every JSON file holds the bytes ``json.dump(payload, fh, indent=2)`` would
+write, plus a newline, written in one pass by this module's own encoder,
+which turns a float array into text a block of rows at a time instead of
+one token at a time.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 import scipy
@@ -176,9 +181,116 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
+def _json_float(x: float) -> str:
+    # json's spelling of the non-finite values
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# rows per string of a float table: each string, and the list and bytes
+# behind it, stays below glibc's 128 KiB mmap threshold.  Freeing a larger
+# block raises that threshold for the rest of the process, and with it
+# where the sampler's later arrays land: one string for the whole psi
+# table put zero-range peak RSS 4.3 MB above the parent's.
+_TABLE_ROWS = 1024
+
+
+def _json_table(a: np.ndarray, level: int, write) -> None:
+    """Write a finite, non-empty 1-d or 2-d float array as its list would read."""
+    pad = "\n" + "  " * level
+    row = pad + "  "
+    if a.ndim == 1:
+        lead, sep, close = "[" + row, "," + row, pad + "]"
+    else:
+        cell = row + "  "
+        lead, sep = "[" + row + "[" + cell, row + "]," + row + "[" + cell
+        close = row + "]" + pad + "]"
+        join_row = ("," + cell).join
+    for start in range(0, len(a), _TABLE_ROWS):
+        texts = map(float.__repr__, a[start:start + _TABLE_ROWS].ravel().tolist())
+        if a.ndim == 2:
+            # zip over one iterator, once per column, deals the numbers out row by row
+            texts = map(join_row, zip(*[texts] * a.shape[1]))
+        write(lead + sep.join(texts))
+        lead = sep
+    write(close)
+
+
+def _encode_json(o, level: int, write) -> None:
+    """Write the text json.dump(o, fh, indent=2) writes for o, nested level deep.
+
+    A 1-d or 2-d float64 array is written as its tolist() would be; a finite,
+    non-empty one a block of rows at a time, with no Python call per number.
+    Anything else json rejects raises json's TypeError.
+    """
+    if isinstance(o, str):
+        write(_json_string(o))
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    elif isinstance(o, float):
+        write(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            write("[]")
+            return
+        pad = "\n" + "  " * level
+        lead = "[" + pad + "  "
+        for item in o:
+            write(lead)
+            _encode_json(item, level + 1, write)
+            lead = "," + pad + "  "
+        write(pad + "]")
+    elif isinstance(o, dict):
+        if not o:
+            write("{}")
+            return
+        pad = "\n" + "  " * level
+        lead = "{" + pad + "  "
+        for key, item in o.items():
+            write(lead + _json_string(_json_key(key)) + ": ")
+            _encode_json(item, level + 1, write)
+            lead = "," + pad + "  "
+        write(pad + "}")
+    elif isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim in (1, 2):
+        if o.size and np.isfinite(o).all():
+            _json_table(o, level, write)
+        else:
+            _encode_json(o.tolist(), level, write)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """payload and a newline, byte for byte as json.dump(payload, fh, indent=2) writes it."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        _encode_json(payload, 0, fh.write)
         fh.write("\n")
 
 
@@ -254,7 +366,7 @@ def _cmd_marginal(cfg: RunConfig):
     outs = []
     for t in cfg.times:
         dens = zerorange.marginal_radial(params, t)
-        r, density = dens.grid.tolist(), dens.values.tolist()
+        r, density = dens.grid, dens.values
         outs += _write_report(cfg, f"marginal_t{t:g}",
                               {"t": t, "gamma": cfg.gamma, "r": r, "density": density},
                               ("r", "density"), zip(r, density))

@@ -261,6 +261,8 @@ def _horizon_ladder(
     r = x sqrt(T); target(summary, gamma, x) is the zero-range limit, which
     is checked for finiteness before any flow runs.
     """
+    if not all(math.isfinite(T) and T > 0.0 for T in T_list):
+        raise ValueError(f"every horizon T must be positive and finite, got {tuple(T_list)!r}")
     summary = compute_summary(v)
     gamma = gamma_of_chi(summary, chi)
     xs = np.asarray(_X_LIST, dtype=float)

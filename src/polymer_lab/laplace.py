@@ -85,10 +85,14 @@ def kernel_closed_form(gamma, rho, t):
     t = np.asarray(t, dtype=float)
     gauss = np.exp(-rho * rho / (2.0 * t))
     z = (rho - gamma * t) / np.sqrt(2.0 * t)
-    out = gauss * (1.0 / np.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx(z))
-    if not _all_finite(out):
-        # only the elements that overflowed (or turned 0 * inf = nan) change
-        out = np.array(out)
+    scale = 1.0 / np.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx(z)
+    if _all_finite(scale):
+        out = gauss * scale  # gauss <= 1, so finite
+    else:
+        # erfcx overflowed; where gauss underflows too the product is the
+        # expected 0 * inf = nan.  Only the elements that are not finite change.
+        with np.errstate(invalid="ignore"):
+            out = np.array(gauss * scale)
         big = ~np.isfinite(out)
         g, r, tt, zz, gs = (a[big] for a in np.broadcast_arrays(gamma, rho, t, z, gauss))
         out[big] = gs / np.sqrt(2.0 * math.pi * tt) + 0.5 * g * _reflected(g, r, tt, zz, gs)
@@ -125,7 +129,12 @@ def zbar_correction(gamma, rho, t):
     small = np.abs(gamma_b) < 1e-6
     g_safe = np.where(small, 1.0, gamma_b)
     z = (rho_b - gamma_b * t_b) / np.sqrt(2.0 * t_b)
-    big_branch = (gauss * erfcx(z) - tail) / g_safe
+    scaled = erfcx(z)
+    if _all_finite(scaled):
+        big_branch = (gauss * scaled - tail) / g_safe
+    else:
+        with np.errstate(invalid="ignore"):  # 0 * inf, recomputed below as above
+            big_branch = (gauss * scaled - tail) / g_safe
     if not _all_finite(big_branch):
         big_branch = np.array(big_branch)
         big = ~np.isfinite(big_branch)

@@ -327,11 +327,15 @@ def _derived_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(k))).generate_state(1)[0])
 
 
-def _window(v: RadialPotential, chi: float, T_list) -> tuple[list, float, float]:
-    """The drivers' prologue: the checked horizons, beta_cr and gamma = c chi."""
+def _window(v: RadialPotential, chi: float, T_list, dt: float) -> tuple[list, float, float]:
+    """The drivers' prologue: check T_list and dt; the horizons, beta_cr and gamma = c chi."""
     T_list = [float(T) for T in T_list]
     if not T_list or sorted(T_list) != T_list:
         raise ValueError("T_list must be non-empty and increasing")
+    if not all(math.isfinite(T) and T > 0.0 for T in T_list):
+        raise ValueError(f"every horizon T must be positive and finite, got {tuple(T_list)!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     summary = spectral.compute_summary(v)
     return T_list, summary.beta_cr, spectral.gamma_of_chi(summary, chi)
 
@@ -400,7 +404,7 @@ def verify_theorem2(
     """
     if model not in ("limit", "wiener"):
         raise ValueError(f"model must be 'limit' or 'wiener', got {model!r}")
-    T_list, beta_cr, gamma = _window(v, chi, T_list)
+    T_list, beta_cr, gamma = _window(v, chi, T_list, dt)
     times = [float(t) for t in times]
     if not times or any(not 0.0 < t <= 1.0 for t in times):
         raise ValueError("times must lie in (0, 1]")
@@ -515,7 +519,7 @@ def verify_prop2(
     for n paths to resolve even in principle ("predicted_moment").  The
     report keeps the first of these reasons per horizon.
     """
-    T_list, beta_cr, gamma = _window(v, chi, T_list)
+    T_list, beta_cr, gamma = _window(v, chi, T_list, dt)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
     y0 = np.asarray(y0, dtype=float)

@@ -119,7 +119,10 @@ def scaled_ball_potential(eps: float, gamma: float = 0.0) -> RadialPotential:
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
-    height = math.pi**2 / (8.0 * eps * eps) + gamma / eps
+    square = 8.0 * eps * eps  # 0 once eps * eps underflows
+    height = (math.pi**2 / square if square > 0.0 else math.inf) + gamma / eps
+    if not math.isfinite(height):
+        raise ValueError(f"the well height is not finite at eps = {eps!r}, gamma = {gamma!r}")
     if height <= 0.0:
         raise ValueError("gamma makes the well nonpositive at this eps")
     return RadialPotential(grid=np.array([0.0, eps]), values=np.array([height]))

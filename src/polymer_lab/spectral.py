@@ -418,13 +418,14 @@ class SpectralSummary:
     c: float
 
     def to_json_dict(self) -> dict:
+        """The fields the CLI writes; psi is an (n, 2) array of (r, psi(r)) rows."""
         return {
             "beta_cr": self.beta_cr,
             "gamma1": self.gamma1,
             "kappa": self.kappa,
             "c": self.c,
             "psi_r_support": self.psi.r_support,
-            "psi": [[float(r), float(val)] for r, val in zip(self.psi.grid, self.psi.values)],
+            "psi": np.column_stack([self.psi.grid, self.psi.values]),
         }
 
 

@@ -12,13 +12,17 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from polymer_lab.cli import main
+from polymer_lab.cli import _TABLE_ROWS, _encode_json, main
 from polymer_lab.heatflow import ConvergenceTable
 from polymer_lab.potentials import scaled_ball_potential
 from polymer_lab.zerorange import ZeroRangeParams, sample_paths
@@ -83,6 +87,27 @@ class TestOverflowPaths:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("argv,reason", [
+        (["verify-prop1", "--T", "0"], "every horizon T must be positive and finite"),
+        (["verify-prop3", "--T", "0"], "every horizon T must be positive and finite"),
+        (["verify-prop2", "--T", "0"], "every horizon T must be positive and finite"),
+        (["verify-prop2", "--T", "inf"], "every horizon T must be positive and finite"),
+        (["verify-theorem", "--T", "inf"], "every horizon T must be positive and finite"),
+        (["verify-theorem", "--dt", "0", "--T", "1"], "dt must be positive and finite"),
+        (["verify-prop2", "--dt", "0", "--T", "1"], "dt must be positive and finite"),
+        (["spectral", "--potential", "ball(1e-300,1)"], "the well height is not finite"),
+    ], ids=["prop1-T0", "prop3-T0", "prop2-T0", "prop2-Tinf", "theorem-Tinf", "theorem-dt0",
+            "prop2-dt0", "ball-underflow"])
+    def test_one_error_line(self, tmp_path, capsys, argv, reason):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and reason in err
+        assert "Traceback" not in err
 
 
 class TestSpectralCommand:
@@ -453,3 +478,103 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert (tmp_path / "manifest.json").exists()
+
+
+def _plain(x):
+    """x with every array replaced by its tolist(), as json.dumps needs it."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+def _emit(x) -> str:
+    out = []
+    _encode_json(x, 0, out.append)
+    return "".join(out)
+
+
+_FLOATS = st.floats(width=64)
+_FLOAT_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0), elements=_FLOATS),
+)
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none())
+_JSON = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _FLOATS, _FLOAT_ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON text is json.dump(indent=2)'s, byte for byte."""
+
+    @given(_JSON)
+    @example({"psi": np.array([[0.0, -0.0], [5e-324, 1e300]]), "t": float("nan"),
+              float("inf"): [-math.inf, "\x00\u00e9\u2028\U0001f600"], True: None, 3: ()})
+    def test_matches_json_dumps(self, x):
+        assert _emit(x) == json.dumps(_plain(x), indent=2)
+
+    @pytest.mark.parametrize("shape", [(2 * _TABLE_ROWS + 3,), (2 * _TABLE_ROWS + 3, 2),
+                                       (_TABLE_ROWS, 3), (_TABLE_ROWS + 1, 1)])
+    def test_tables_longer_than_a_block(self, shape):
+        scales = np.logspace(-300, 300, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+        table = np.random.default_rng(7).standard_normal(shape) * scales
+        x = {"table": table, "after": [table[:3]]}
+        assert _emit(x) == json.dumps(_plain(x), indent=2)
+
+    @pytest.mark.parametrize("bad", [
+        {1, 2}, np.int64(3), np.float32(0.5), object(), np.array([1, 2]),
+        np.zeros((2, 2, 2)), np.array(1.0),
+    ], ids=["set", "int64", "float32", "object", "int-array", "3-d", "0-d"])
+    def test_rejects_what_json_rejects(self, bad):
+        for payload in ([1.0, bad], {"k": bad}):
+            with pytest.raises(TypeError) as want:
+                json.dumps(payload, indent=2)
+            with pytest.raises(TypeError, match=re.escape(str(want.value))):
+                _emit(payload)
+
+    @pytest.mark.parametrize("key", [np.int64(3), np.float32(0.5), object(), (1, 2)],
+                             ids=["int64", "float32", "object", "tuple"])
+    def test_rejects_keys_json_rejects(self, key):
+        with pytest.raises(TypeError) as want:
+            json.dumps({key: 1}, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(want.value))):
+            _emit({key: 1})
+
+    def test_every_command_writes_json_dumps_text(self, tmp_path, capsys):
+        well = tmp_path / "well.csv"
+        well.write_text("r,v\n0.0,3.0\n0.2,1.5\n0.5,0.0\n")
+        (tmp_path / "well.csv.json").write_text(json.dumps({"r_support": 0.7}))
+        runs = {
+            "spectral_ball": ["spectral"],
+            "spectral_well": ["spectral", "--potential", str(well)],
+            "kernel": ["kernel", "--gamma", "1.3", "--rho", "0.7", "--t", "0.4"],
+            "marginal": ["marginal", "--gamma", "37.6"],
+            "prop1": ["verify-prop1", "--chi", "1", "--T", "4,9"],
+            "prop3": ["verify-prop3", "--chi", "1", "--T", "4,9"],
+            "poten": ["verify-poten", "--gamma", "0.5"],
+            "theorem": ["verify-theorem", "--chi", "2", "--T", "1,4", "--n-paths", "1000"],
+            "prop2": ["verify-prop2", "--chi", "1", "--T", "1,4", "--n-paths", "1000"],
+            "sample": ["sample", "--steps", "4", "--n-paths", "50"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(argv + ["--seed", "3", "--out", str(out)]) in (0, 2, 3), name
+            written = sorted(out.glob("*.json"))
+            assert "manifest.json" in [p.name for p in written]
+            assert len(written) > 1 or name == "sample"
+            for path in written:
+                text = path.read_text()
+                assert text == json.dumps(json.loads(text), indent=2) + "\n", path
