@@ -14,9 +14,10 @@ and ``<name>.csv`` (a header and one row per entry, CRLF line ends);
 ``sample`` writes ``paths.csv``, ``spectral`` and ``kernel`` one JSON file
 each.  Numbers are written with repr(), i.e. shortest round-trip decimal.
 Every JSON file holds the bytes ``json.dump(payload, fh, indent=2)`` would
-write, plus a newline, written in one pass by this module's own encoder,
-which turns a float array into text a block of rows at a time instead of
-one token at a time.
+write, plus a newline.  The payload's values go through ``json.dumps``,
+except a float table held directly in it (the resonance profile, a
+marginal's radii and density), which is turned into text a block of rows
+at a time instead of one token at a time.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import platform
 import re
 import sys
 import time
 from dataclasses import asdict, dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 import scipy
@@ -99,7 +98,7 @@ def load_potential(spec: str) -> RadialPotential:
     """Resolve a potential argument: preset ``ball(eps,gamma)`` or a CSV path.
 
     File potentials need the CSV (columns r,v, radii sorted) plus a JSON
-    sidecar at ``<path>.json`` carrying {"r_support": ...}; the sidecar may
+    sidecar at ``<path>.json`` holding {"r_support": R}, R a finite number; R may
     extend the support with a zero tail but must not cut the grid short.
     """
     m = _PRESET.match(spec.strip())
@@ -115,10 +114,13 @@ def load_potential(spec: str) -> RadialPotential:
     if not os.path.exists(sidecar):
         raise ValueError(f"missing sidecar {sidecar!r} (expected {{\"r_support\": ...}})")
     with open(sidecar) as fh:
-        meta = json.load(fh)
-    if "r_support" not in meta:
-        raise ValueError(f"sidecar {sidecar!r} lacks an r_support entry")
-    r_support = float(meta["r_support"])
+        # ints read as floats, so one past the largest double reads as inf
+        meta = json.load(fh, parse_int=float)
+    r_support = meta.get("r_support") if isinstance(meta, dict) else None
+    if not (isinstance(r_support, float) and np.isfinite(r_support)):
+        raise ValueError(
+            f"sidecar {sidecar!r} must be an object with a finite number r_support"
+        )
     v = RadialPotential.from_csv(spec)
     last = v.grid[-1]
     if r_support < last * (1.0 - 1e-12):
@@ -181,33 +183,6 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
-def _json_float(x: float) -> str:
-    # json's spelling of the non-finite values
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 # rows per string of a float table: each string, and the list and bytes
 # behind it, stays below glibc's 128 KiB mmap threshold.  Freeing a larger
 # block raises that threshold for the rest of the process, and with it
@@ -237,60 +212,34 @@ def _json_table(a: np.ndarray, level: int, write) -> None:
     write(close)
 
 
-def _encode_json(o, level: int, write) -> None:
-    """Write the text json.dump(o, fh, indent=2) writes for o, nested level deep.
+def _tolist(o):
+    """json's ``default``: a 1-d or 2-d float64 array as its list."""
+    if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim in (1, 2):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    A 1-d or 2-d float64 array is written as its tolist() would be; a finite,
-    non-empty one a block of rows at a time, with no Python call per number.
-    Anything else json rejects raises json's TypeError.
+
+def _write_json(path: str, payload) -> None:
+    """payload and a newline, byte for byte as json.dump(payload, fh, indent=2) writes it.
+
+    A finite, non-empty float table held directly in a str-keyed payload
+    goes through _json_table; everything else through json.dumps.
     """
-    if isinstance(o, str):
-        write(_json_string(o))
-    elif o is None:
-        write("null")
-    elif o is True:
-        write("true")
-    elif o is False:
-        write("false")
-    elif isinstance(o, int):
-        write(int.__repr__(o))
-    elif isinstance(o, float):
-        write(_json_float(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            write("[]")
-            return
-        pad = "\n" + "  " * level
-        lead = "[" + pad + "  "
-        for item in o:
-            write(lead)
-            _encode_json(item, level + 1, write)
-            lead = "," + pad + "  "
-        write(pad + "]")
-    elif isinstance(o, dict):
-        if not o:
-            write("{}")
-            return
-        pad = "\n" + "  " * level
-        lead = "{" + pad + "  "
-        for key, item in o.items():
-            write(lead + _json_string(_json_key(key)) + ": ")
-            _encode_json(item, level + 1, write)
-            lead = "," + pad + "  "
-        write(pad + "}")
-    elif isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim in (1, 2):
-        if o.size and np.isfinite(o).all():
-            _json_table(o, level, write)
-        else:
-            _encode_json(o.tolist(), level, write)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    """payload and a newline, byte for byte as json.dump(payload, fh, indent=2) writes it."""
     with open(path, "w") as fh:
-        _encode_json(payload, 0, fh.write)
+        if isinstance(payload, dict) and payload and all(isinstance(k, str) for k in payload):
+            lead = "{\n  "
+            for key, value in payload.items():
+                fh.write(lead + json.dumps(key) + ": ")
+                if (isinstance(value, np.ndarray) and value.dtype == np.float64
+                        and value.ndim in (1, 2) and value.size and np.isfinite(value).all()):
+                    _json_table(value, 1, fh.write)
+                else:
+                    # JSON text holds a raw newline only where it indents
+                    fh.write(json.dumps(value, indent=2, default=_tolist).replace("\n", "\n  "))
+                lead = ",\n  "
+            fh.write("\n}")
+        else:
+            fh.write(json.dumps(payload, indent=2, default=_tolist))
         fh.write("\n")
 
 

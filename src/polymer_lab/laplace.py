@@ -42,8 +42,10 @@ def kernel_integral(gamma: float, rho: float, t: float) -> float:
     raises ValueError when the result is not finite.
     """
     _require(math.isfinite(gamma), "gamma must be finite")
-    _require(math.isfinite(rho) and rho > 0.0, "rho must be > 0")
-    _require(math.isfinite(t) and t > 0.0, "t must be > 0")
+    _require(math.isfinite(rho), "rho must be finite")
+    _require(math.isfinite(t), "t must be finite")
+    _require(rho > 0.0, "rho must be > 0")
+    _require(t > 0.0, "t must be > 0")
     value = kernel_closed_form(gamma, rho, t)
     if not math.isfinite(value):
         raise ValueError(

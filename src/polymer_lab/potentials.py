@@ -97,7 +97,9 @@ class RadialPotential:
     def from_csv(cls, path) -> "RadialPotential":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"potential file {str(path)!r} is empty")
             if [h.strip() for h in header] != ["r", "v"]:
                 raise ValueError(f"expected header 'r,v', got {header!r}")
             rows = [(float(a), float(b)) for a, b in reader]

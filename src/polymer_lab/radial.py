@@ -72,20 +72,21 @@ class RadialDensity:
 
 
 def _cumulative_trapezoid(grid, values) -> np.ndarray:
-    """Trapezoid integral of values from grid[0] to every node, starting at 0.
+    """Trapezoid integral of values along their last axis, from grid[0] to every node.
 
-    The running sum is scipy.integrate.cumulative_trapezoid's own
-    expression, so the two agree bit for bit.
+    Each running sum starts at 0 and is scipy.integrate.cumulative_trapezoid's
+    own expression, so the two agree bit for bit.
     """
     x, y = np.asarray(grid), np.asarray(values)
-    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+    c = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros(c.shape[:-1] + (1,)), c), axis=-1)
 
 
 def density_cdf(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Trapezoid CDF of an unnormalized density, rescaled to end at 1."""
+    """Trapezoid CDF of each unnormalized density along the last axis, rescaled to end at 1."""
     c = _cumulative_trapezoid(grid, values)
-    total = c[-1]
-    if total <= 0.0:
+    total = c[..., -1:]
+    if np.any(total <= 0.0):
         raise ValueError("density integrates to zero")
     return c / total
 

@@ -29,7 +29,7 @@ import numpy as np
 from ._special import erfc
 from ._streams import refuse_oversized, seed_pcg64, spawn_words
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
-from .radial import RadialDensity, default_radial_grid, gauss_sphere_integral
+from .radial import RadialDensity, default_radial_grid, density_cdf, gauss_sphere_integral
 
 __all__ = [
     "GridExhaustionError",
@@ -359,16 +359,6 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     return result
 
 
-def _row_cdf(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # cumulative trapezoid along the last axis, normalized to end at 1
-    dx = np.diff(x)
-    inc = 0.5 * (rows[..., 1:] + rows[..., :-1]) * dx
-    cdf = np.concatenate(
-        [np.zeros(rows.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1
-    )
-    return cdf / cdf[..., -1:]
-
-
 @lru_cache(maxsize=4)
 def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
     x = default_radial_grid()
@@ -386,7 +376,7 @@ def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
             f"radial grid [0, {x[-1]:g}] captures only {reach:.8f} of the "
             f"time-{dt:g} marginal; enlarge the grid"
         )
-    first_cdf = _row_cdf(x, marg.values[None, :])[0]
+    first_cdf = density_cdf(x, marg.values)
     body = x[1:]
     mean = pbar_sphere_mean(p, dt, y[:, None], body[None, :])
     kern = 4.0 * math.pi * body[None, :] ** 2 * mean
@@ -467,7 +457,7 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
         # quantile interpolation between the bracketing anchor rows
         frac = np.clip((r_prev - y[lo]) / (y[hi] - y[lo]), 0.0, 1.0)
         u = uniforms[:, k - 1]
-        q = _inverse_cdf(x, _row_cdf(x, rows), row, np.concatenate([u, u]))
+        q = _inverse_cdf(x, density_cdf(x, rows), row, np.concatenate([u, u]))
         out[:, k] = (1.0 - frac) * q[:m] + frac * q[m:]
     return out
 

@@ -15,6 +15,8 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -22,7 +24,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polymer_lab.cli import _TABLE_ROWS, _encode_json, main
+from polymer_lab import cli
+from polymer_lab.cli import _TABLE_ROWS, _write_json, main
 from polymer_lab.heatflow import ConvergenceTable
 from polymer_lab.potentials import scaled_ball_potential
 from polymer_lab.zerorange import ZeroRangeParams, sample_paths
@@ -61,6 +64,18 @@ class TestKernelCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--t", "inf", "t must be finite"),
+        ("--t", "nan", "t must be finite"),
+        ("--rho", "inf", "rho must be finite"),
+        ("--rho", "-inf", "rho must be finite"),
+        ("--t", "0", "t must be > 0"),
+        ("--rho", "-1", "rho must be > 0"),
+    ])
+    def test_error_names_the_failed_condition(self, tmp_path, capsys, flag, value, reason):
+        assert main(["kernel", f"{flag}={value}", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
     @pytest.mark.parametrize("gamma,rho", [("60", "0.1"), ("100", "40")])
     def test_non_finite_kernel_exits_1(self, tmp_path, capsys, gamma, rho):
         # e^{-gamma rho + gamma^2 t/2} overflows a double: the kernel is inf at both
@@ -89,6 +104,18 @@ class TestOverflowPaths:
         assert proc.stderr.startswith("error: ")
 
 
+_WELL = "r,v\n0.0,3.0\n0.5,0.0\n"
+
+
+def _assert_one_error_line(tmp_path, capsys, argv, reason):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
+
+
 class TestDegenerateInputs:
     @pytest.mark.parametrize("argv,reason", [
         (["verify-prop1", "--T", "0"], "every horizon T must be positive and finite"),
@@ -102,12 +129,23 @@ class TestDegenerateInputs:
     ], ids=["prop1-T0", "prop3-T0", "prop2-T0", "prop2-Tinf", "theorem-Tinf", "theorem-dt0",
             "prop2-dt0", "ball-underflow"])
     def test_one_error_line(self, tmp_path, capsys, argv, reason):
-        assert main(argv + ["--out", str(tmp_path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and reason in err
-        assert "Traceback" not in err
+        _assert_one_error_line(tmp_path, capsys, argv, reason)
+
+    @pytest.mark.parametrize("csv_text,sidecar,reason", [
+        (_WELL, '{"r_support": null}', "finite number r_support"),
+        (_WELL, '{"r_support": [1]}', "finite number r_support"),
+        (_WELL, "5", "finite number r_support"),
+        (_WELL, '"r_support"', "finite number r_support"),
+        (_WELL, '{"r_support": Infinity}', "finite number r_support"),
+        (_WELL, '{"r_support": NaN}', "finite number r_support"),
+        (_WELL, '{"r_support": 1' + "0" * 400 + "}", "finite number r_support"),
+        ("", '{"r_support": 1}', "is empty"),
+    ], ids=["null", "list", "number", "string", "inf", "nan", "past-a-double", "empty-csv"])
+    def test_malformed_potential_file(self, tmp_path, capsys, csv_text, sidecar, reason):
+        well = tmp_path / "well.csv"
+        well.write_text(csv_text)
+        Path(f"{well}.json").write_text(sidecar)
+        _assert_one_error_line(tmp_path, capsys, ["spectral", "--potential", str(well)], reason)
 
 
 class TestSpectralCommand:
@@ -492,9 +530,13 @@ def _plain(x):
 
 
 def _emit(x) -> str:
-    out = []
-    _encode_json(x, 0, out.append)
-    return "".join(out)
+    """The text _write_json writes for x, without its closing newline."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "out.json")
+        _write_json(str(path), x)
+        text = path.read_text()
+    assert text.endswith("\n")
+    return text[:-1]
 
 
 _FLOATS = st.floats(width=64)
@@ -512,6 +554,7 @@ _JSON = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4),
     ),
     max_leaves=20,
 )
@@ -552,6 +595,19 @@ class TestJsonWriter:
             json.dumps({key: 1}, indent=2)
         with pytest.raises(TypeError, match=re.escape(str(want.value))):
             _emit({key: 1})
+
+    def test_float_tables_take_the_table_writer(self, tmp_path, capsys, monkeypatch):
+        shapes = []
+        table = cli._json_table
+
+        def counted(a, level, write):
+            shapes.append(a.shape)
+            table(a, level, write)
+
+        monkeypatch.setattr(cli, "_json_table", counted)
+        assert main(["spectral", "--out", str(tmp_path / "s")]) == 0
+        assert main(["marginal", "--times", "1", "--out", str(tmp_path / "m")]) == 0
+        assert shapes == [(8193, 2), (2048,), (2048,)]
 
     def test_every_command_writes_json_dumps_text(self, tmp_path, capsys):
         well = tmp_path / "well.csv"

@@ -148,3 +148,27 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit(steps, data):
     y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=x.size, max_size=x.size)))
     want = cumulative_trapezoid(y, x, initial=0)
     assert _cumulative_trapezoid(x, y).tobytes() == want.tobytes()
+
+
+@given(
+    steps=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
+    n_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_cumulative_trapezoid_rows_match_scipy_bit_for_bit(steps, n_rows, data):
+    x = np.concatenate(([0.0], steps)).cumsum()
+    size = n_rows * x.size
+    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    y = y.reshape(n_rows, x.size)
+    want = cumulative_trapezoid(y, x, axis=-1, initial=0)
+    assert _cumulative_trapezoid(x, y).tobytes() == want.tobytes()
+
+
+def test_density_cdf_normalizes_each_row():
+    g = np.linspace(0.0, 1.0, 11)
+    rows = np.array([np.ones_like(g), 3.0 * g])
+    c = density_cdf(g, rows)
+    for got, row in zip(c, rows):
+        assert got.tobytes() == density_cdf(g, row).tobytes()
+    with pytest.raises(ValueError):
+        density_cdf(g, np.array([np.ones_like(g), np.zeros_like(g)]))
