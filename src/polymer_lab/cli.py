@@ -5,8 +5,12 @@ input or out-of-memory error, 2 a verification property failed, 3
 verification inconclusive (importance-sampling collapse, or Monte Carlo
 noise larger than the gap under test).  Every run that gets past argument
 parsing writes ``manifest.json`` into the output directory with all inputs
-materialized (defaults included), library versions, wall time, and the exit
-code, so a run is reproducible from its manifest and the same binary.
+materialized (defaults included), library versions, wall time, output names
+and the exit code, so a run is reproducible from its manifest and the same
+binary.  A run that fails after argument parsing prints one ``error:`` line,
+and its manifest has exit code 1, no outputs and the printed message under
+``error``.  Only a run whose output directory cannot be created, or whose
+failure manifest cannot be written, leaves no manifest.
 
 This module alone knows the file formats.  ``marginal`` and the verify
 commands write each table twice, as ``<name>.json`` (the report's fields)
@@ -33,14 +37,13 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, heatflow, montecarlo, spectral, zerorange
 from .laplace import kernel_integral
 from .potentials import RadialPotential, scaled_ball_potential
 from .zerorange import GridExhaustionError, ZeroRangeParams
 
-# Sweep the import's objects once, here (about 24k objects, 5-7 ms).
+# Sweep the import's objects once, here (about 22.7k objects, 5.7-7.5 ms).
 # Otherwise the interpreter's first full collection comes due inside the
 # first command that allocates: `spectral` run first took a median 51 ms
 # without this sweep against 42 ms with it (15 fresh interpreters each,
@@ -48,18 +51,6 @@ from .zerorange import GridExhaustionError, ZeroRangeParams
 gc.collect()
 
 __all__ = ["RunConfig", "load_potential", "run", "main"]
-
-_COMMANDS = (
-    "spectral",
-    "kernel",
-    "marginal",
-    "verify-prop1",
-    "verify-prop2",
-    "verify-prop3",
-    "verify-poten",
-    "verify-theorem",
-    "sample",
-)
 
 _PRESET = re.compile(r"^ball\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 
@@ -151,7 +142,7 @@ def _build_parser() -> _Parser:
         description="critical homopolymer toolkit: kernels, spectra, "
         "zero-range marginals, and verification suites",
     )
-    p.add_argument("command", choices=_COMMANDS)
+    p.add_argument("command", choices=tuple(_DISPATCH))
     p.add_argument("--potential", default="ball(1,0)",
                    help="preset ball(eps,gamma) or CSV path with .json sidecar")
     p.add_argument("--chi", type=float, default=0.0)
@@ -378,12 +369,12 @@ _DISPATCH = {
     "spectral": _cmd_spectral,
     "kernel": _cmd_kernel,
     "marginal": _cmd_marginal,
-    "sample": _cmd_sample,
     "verify-prop1": _cmd_verify_heatflow,
+    "verify-prop2": _cmd_verify_prop2,
     "verify-prop3": _cmd_verify_heatflow,
     "verify-poten": _cmd_verify_poten,
     "verify-theorem": _cmd_verify_theorem,
-    "verify-prop2": _cmd_verify_prop2,
+    "sample": _cmd_sample,
 }
 
 
@@ -395,6 +386,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
+    failure = {}
     try:
         # every output is checked for finiteness before it is written, so
         # numpy's overflow warnings would only add lines to stderr
@@ -402,8 +394,9 @@ def run(cfg: RunConfig) -> int:
             code, outputs, lines = _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError, MemoryError, GridExhaustionError) as exc:
         # a bare MemoryError() has no message; its type is the message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 1
+        message = str(exc) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        code, outputs, lines, failure = 1, [], [], {"error": message}
     for line in lines:
         print(line)
     manifest = {
@@ -411,14 +404,20 @@ def run(cfg: RunConfig) -> int:
         "versions": {
             "polymer_lab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "wall_time_s": time.monotonic() - started,
         "outputs": [os.path.basename(p) for p in outputs],
         "exit_code": code,
+        **failure,
     }
-    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
+    try:
+        _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
+    except OSError:
+        # a failed run keeps its one error line when the manifest cannot be
+        # written either: the write may be what failed
+        if not failure:
+            raise
     return code
 
 

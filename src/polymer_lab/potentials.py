@@ -102,7 +102,17 @@ class RadialPotential:
                 raise ValueError(f"potential file {str(path)!r} is empty")
             if [h.strip() for h in header] != ["r", "v"]:
                 raise ValueError(f"expected header 'r,v', got {header!r}")
-            rows = [(float(a), float(b)) for a, b in reader]
+            rows = []
+            for row in reader:
+                try:
+                    # unpacking also fails unless the row has exactly two cells
+                    r, v = map(float, row)
+                except ValueError:
+                    raise ValueError(
+                        f"potential file {str(path)!r} line {reader.line_num}: expected "
+                        f"two numbers r,v, got {row!r}"
+                    ) from None
+                rows.append((r, v))
         if len(rows) < 2:
             raise ValueError("potential file needs at least two rows")
         if rows[-1][1] != 0.0:

@@ -24,10 +24,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polymer_lab import cli
+from polymer_lab import cli, montecarlo
 from polymer_lab.cli import _TABLE_ROWS, _write_json, main
 from polymer_lab.heatflow import ConvergenceTable
-from polymer_lab.potentials import scaled_ball_potential
+from polymer_lab.potentials import scaled_ball_potential, unit_ball_potential
 from polymer_lab.zerorange import ZeroRangeParams, sample_paths
 
 FREE_KERNEL_AT_1_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
@@ -49,7 +49,7 @@ class TestKernelCommand:
         assert manifest["exit_code"] == 0
         assert manifest["outputs"] == ["kernel.json"]
         assert manifest["wall_time_s"] >= 0.0
-        assert set(manifest["versions"]) == {"polymer_lab", "numpy", "scipy", "python"}
+        assert set(manifest["versions"]) == {"polymer_lab", "numpy", "python"}
         cfg = manifest["config"]
         # every knob is materialized, including untouched defaults
         for key in ("command", "potential", "chi", "gamma", "T_list", "times",
@@ -114,6 +114,13 @@ def _assert_one_error_line(tmp_path, capsys, argv, reason):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and reason in err
     assert "Traceback" not in err
+    # the failed run still leaves its manifest, with the printed message
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest) == ["config", "versions", "wall_time_s", "outputs",
+                              "exit_code", "error"]
+    assert manifest["config"]["command"] == argv[0]
+    assert manifest["outputs"] == [] and manifest["exit_code"] == 1
+    assert manifest["error"] == err.removeprefix("error: ").removesuffix("\n")
 
 
 class TestDegenerateInputs:
@@ -140,12 +147,26 @@ class TestDegenerateInputs:
         (_WELL, '{"r_support": NaN}', "finite number r_support"),
         (_WELL, '{"r_support": 1' + "0" * 400 + "}", "finite number r_support"),
         ("", '{"r_support": 1}', "is empty"),
-    ], ids=["null", "list", "number", "string", "inf", "nan", "past-a-double", "empty-csv"])
+        ("r,v\n0.0,3.0\n\n0.5,0.0\n", '{"r_support": 0.5}',
+         "potential file {well!r} line 3: expected two numbers r,v, got []"),
+        ("r,v\n0.0,3.0,1.0\n0.5,0.0\n", '{"r_support": 0.5}',
+         "potential file {well!r} line 2: expected two numbers r,v, got ['0.0', '3.0', '1.0']"),
+        ("r,v\n0.0,3.0\n0.5,abc\n", '{"r_support": 0.5}',
+         "potential file {well!r} line 3: expected two numbers r,v, got ['0.5', 'abc']"),
+    ], ids=["null", "list", "number", "string", "inf", "nan", "past-a-double", "empty-csv",
+            "blank-row", "three-cells", "not-a-number"])
     def test_malformed_potential_file(self, tmp_path, capsys, csv_text, sidecar, reason):
         well = tmp_path / "well.csv"
         well.write_text(csv_text)
         Path(f"{well}.json").write_text(sidecar)
-        _assert_one_error_line(tmp_path, capsys, ["spectral", "--potential", str(well)], reason)
+        _assert_one_error_line(tmp_path, capsys, ["spectral", "--potential", str(well)],
+                               reason.format(well=str(well)))
+
+    def test_unwritable_failure_manifest_keeps_one_error_line(self, tmp_path, capsys):
+        # the manifest's own path is taken, so the failed run cannot write it
+        (tmp_path / "manifest.json").mkdir()
+        assert main(["kernel", "--t", "inf", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", "error: t must be finite\n")
 
 
 class TestSpectralCommand:
@@ -413,8 +434,6 @@ class TestVerifyCommands:
         # at T = 2 a block holds 64 paths and blocks are dealt round-robin,
         # so with two workers block 0 runs on the first and block 1 on the
         # second; an error in either must reach the CLI the same way
-        from polymer_lab import montecarlo
-
         real = montecarlo._simulate_block
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         errs = []
@@ -493,21 +512,37 @@ class TestUsage:
         assert main(["verify-prop3", "--T", "9;25"]) == 1
         assert "comma-separated" in capsys.readouterr().err
 
-    def test_import_loads_no_scipy_subpackage(self):
-        # a fresh interpreter, as for every command: start-up pays for each
-        # SciPy subpackage the import pulls in, and the package loads none
-        # (``import scipy`` alone, for the manifest's version, loads modules
-        # such as scipy.version but no subpackage)
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter, as for every command: SciPy is a test
+        # dependency only, and the package loads no module of it
         code = (
             "import sys, polymer_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.count('.') == 1 "
-            "and m.startswith('scipy.') and not m.startswith('scipy._') "
-            "and hasattr(sys.modules[m], '__path__')))"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # every scipy import fails in this interpreter, and each attempt is
+        # recorded, so even an import whose failure is caught shows up
+        code = _WITHOUT_SCIPY + _EVERY_COMMAND_AND_BENCH_CALL
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == {
+            "spectral": 0, "spectral-well": 0, "kernel": 0, "marginal": 0, "sample": 0,
+            "verify-prop1": 0, "verify-prop3": 0, "verify-poten": 0,
+            "verify-theorem": 3, "verify-prop2": 3,
+        }
+        # the same draws and KS distances as in this interpreter
+        control = montecarlo.verify_theorem2(unit_ball_potential(), 0.0, (4.0, 9.0),
+                                             (0.5, 1.0), n=2000, seed=1,
+                                             beta_override=0.4, model="wiener")
+        assert result["control_table"] == [list(row) for row in control.table]
+        assert result["blocked"] == [] and result["scipy_modules"] == []
 
     def test_module_is_runnable(self, tmp_path):
         proc = subprocess.run(
@@ -516,6 +551,81 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert (tmp_path / "manifest.json").exists()
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+blocked = []
+
+
+class _BlockSciPy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _BlockSciPy())
+"""
+
+# the nine commands (spectral also on a CSV well) and the library calls the
+# bench makes, then a report of what happened as one JSON line
+_EVERY_COMMAND_AND_BENCH_CALL = """
+import json, os
+
+import numpy as np
+
+from polymer_lab import cli, laplace, montecarlo, spectral, zerorange
+from polymer_lab.potentials import unit_ball_potential
+
+out = sys.argv[1]
+well = os.path.join(out, "well.csv")
+with open(well, "w") as fh:
+    fh.write("r,v\\n0.0,3.0\\n0.2,1.5\\n0.5,0.0\\n")
+with open(well + ".json", "w") as fh:
+    fh.write('{"r_support": 0.7}')
+runs = {
+    "spectral": ["spectral"],
+    "spectral-well": ["spectral", "--potential", well],
+    "kernel": ["kernel"],
+    "marginal": ["marginal", "--gamma", "37.6"],
+    "sample": ["sample", "--steps", "16", "--n-paths", "500"],
+    "verify-prop1": ["verify-prop1", "--chi", "1"],
+    "verify-prop3": ["verify-prop3", "--chi", "1"],
+    "verify-poten": ["verify-poten"],
+    "verify-theorem": ["verify-theorem", "--chi", "2", "--T", "9,25", "--n-paths", "2000"],
+    "verify-prop2": ["verify-prop2", "--chi", "1", "--T", "9,25", "--times", "1",
+                     "--n-paths", "1000"],
+}
+codes = {name: cli.main(argv + ["--out", os.path.join(out, name)])
+         for name, argv in runs.items()}
+
+ball = unit_ball_potential()
+beta_cr = spectral.critical_beta(ball)
+spectral.gamma1_via_expansion(ball, beta_cr=beta_cr)
+spectral.principal_eigenvalue(ball, beta_cr + 0.01)
+control = montecarlo.verify_theorem2(ball, 0.0, (4.0, 9.0), (0.5, 1.0), n=2000, seed=1,
+                                     beta_override=0.4, model="wiener")
+p = zerorange.ZeroRangeParams(0.5)
+x, y = np.array([0.3, 0.4, 0.0]), np.array([-0.2, 0.1, 0.9])
+laplace.kernel_integral(0.5, 1.2, 0.7)
+laplace.kernel_closed_form(0.5, 1.2, 0.7)
+laplace.zbar_correction(0.5, 1.2, 0.7)
+zerorange.pbar(p, 0.4, x, y)
+zerorange.zbar(p, 0.4, x)
+zerorange.fdd_density(p, 0.9, x, np.array([0.2, 0.5]), [y, x])
+zerorange.transition_R(p, 0.2, 0.6, y, x)
+zerorange.marginal_radial(p, 0.5).cdf()
+
+print(json.dumps({
+    "codes": codes,
+    "control_table": control.table,
+    "blocked": blocked,
+    "scipy_modules": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+}))
+"""
 
 
 def _plain(x):
