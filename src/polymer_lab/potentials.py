@@ -101,7 +101,9 @@ class RadialPotential:
             if header is None:
                 raise ValueError(f"potential file {str(path)!r} is empty")
             if [h.strip() for h in header] != ["r", "v"]:
-                raise ValueError(f"expected header 'r,v', got {header!r}")
+                raise ValueError(
+                    f"potential file {str(path)!r} line 1: expected header 'r,v', got {header!r}"
+                )
             rows = []
             for row in reader:
                 try:
@@ -114,9 +116,9 @@ class RadialPotential:
                     ) from None
                 rows.append((r, v))
         if len(rows) < 2:
-            raise ValueError("potential file needs at least two rows")
+            raise ValueError(f"potential file {str(path)!r} needs at least two rows")
         if rows[-1][1] != 0.0:
-            raise ValueError("last row must close the support with v = 0")
+            raise ValueError(f"potential file {str(path)!r}: last row must close the support with v = 0")
         g = np.array([r for r, _ in rows])
         v = np.array([val for _, val in rows[:-1]])
         return cls(grid=g, values=v)

@@ -241,8 +241,8 @@ def critical_beta(v: RadialPotential) -> float:
 class PsiFunction:
     """Zero-energy resonance profile with exterior tail 1/r.
 
-    Inside the support the profile is tabulated; outside it continues as
-    exactly 1/r (the normalization fixes the exterior coefficient to 1).
+    Tabulated on [0, r_support]; outside the support it is exactly 1/r (the
+    normalization fixes the exterior coefficient to 1).
     """
 
     grid: np.ndarray
@@ -256,15 +256,6 @@ class PsiFunction:
             raise ValueError("grid and values must be matching 1-d arrays")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", w)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = np.interp(r, self.grid, self.values)
-        r_safe = np.maximum(r, 1e-300)
-        out = np.where(r <= self.r_support, inside, 1.0 / r_safe)
-        if out.ndim == 0:
-            return float(out)
-        return out
 
     @property
     def at_origin(self) -> float:

@@ -29,7 +29,13 @@ import numpy as np
 from ._special import erfc
 from ._streams import refuse_oversized, seed_pcg64, spawn_words
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
-from .radial import RadialDensity, default_radial_grid, density_cdf, gauss_sphere_integral
+from .radial import (
+    RadialDensity,
+    _cumulative_trapezoid,
+    default_radial_grid,
+    density_cdf,
+    gauss_sphere_integral,
+)
 
 __all__ = [
     "GridExhaustionError",
@@ -44,9 +50,11 @@ __all__ = [
     "sample_paths",
 ]
 
-# A transition row whose grid captures less than this fraction of its mass
-# cannot be inverted honestly; the sampler refuses and asks for a larger grid.
+# A transition row may have at most this fraction of its mass beyond the
+# grid's end (else the grid is too short), and its trapezoid total must match
+# that mass this closely, marginal_radial's own bound (else it is too coarse).
 _TAIL_DEFICIT = 1e-6
+_ROW_MASS_TOL = 1e-3
 
 _TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(float).tiny
@@ -281,7 +289,7 @@ def pbar_sphere_mean(p: ZeroRangeParams, t, r_from, r_to):
     (direction-independent) interaction term.  Broadcasts over radii.
     Underlies the radial chain: integrating r_to^2 * 4 pi * this against
     the tail partition factor reproduces Z at the earlier time, which the
-    table builder checks row by row.
+    walk checks row by row.
     """
     t = _check_time(t)
     a = np.asarray(r_from, dtype=float)
@@ -305,7 +313,8 @@ def pbar_sphere_mean(p: ZeroRangeParams, t, r_from, r_to):
 # it is tabulated once per (params, n_steps) on fixed grids: 256 anchors by
 # 2047 radii, about 4 MB whatever n_steps is.  Step k only weights it by the
 # partition factor of the horizon left; the walk builds those rows for the
-# anchors its paths occupy, certifies them, draws and drops them.
+# anchors its paths occupy, checks their mass beyond the grid and on it
+# (docs/derivations.md), draws and drops them.
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,46 +326,32 @@ class _ChainTables:
     first_cdf: np.ndarray
     kern: np.ndarray  # (ny, nx - 1): 4 pi x^2 pbar_sphere_mean(dt, y, x), x > 0
     col0: np.ndarray  # (ny,): 2 I(gamma, y, dt); times J(0, tail) / y at x = 0
+    kern_tail: np.ndarray  # (ny,): mass of each kern row beyond x_grid[-1]
 
 
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson's rule along the last axis of y on the 1-d grid x, N >= 3.
+def _interaction_beyond(gamma: float, x_end: float, y, s: float):
+    """2 int_{x_end}^inf x I(gamma, x + y, s) dx = x_end E(x_end + y) + J(gamma, x_end + y, s).
 
-    A port of SciPy 1.17's simpson(y, x=x, axis=-1) with the same numpy
-    operations in the same order, so the two agree bit for bit.  Odd N is
-    plain Simpson over every pair of intervals; even N is Simpson over the
-    first N - 3 intervals plus Cartwright's correction for the last one.
+    E(rho) = e^{-rho^2/2s} erfcx((rho - gamma s)/sqrt(2s)) = gamma J + erfc(rho/sqrt(2s)),
+    and I = -(1/2) dE/drho, J(gamma, rho, s) = int_rho^inf E (docs/derivations.md).
     """
-    x = np.asarray(x).reshape((1,) * (np.ndim(y) - 1) + (-1,))
-    n = x.shape[-1]
-    h = np.diff(x, axis=-1)
-    stop = n - 2 if n % 2 else n - 3
-    h0 = h[..., 0:stop:2].astype(float, copy=False)
-    h1 = h[..., 1:stop + 1:2].astype(float, copy=False)
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    tmp = hsum / 6.0 * (
-        y[..., 0:stop:2]
-        * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0))
-        + y[..., 1:stop + 1:2]
-        * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0))
-        + y[..., 2:stop + 2:2] * (2.0 - h0divh1)
-    )
-    result = np.sum(tmp, axis=-1)
-    if n % 2:
-        return result
-    a, b = np.squeeze(h[..., -2:-1], axis=-1), np.squeeze(h[..., -1:], axis=-1)
-    num, den = 2 * b**2 + 3 * a * b, 6 * (b + a)
-    alpha = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-    num, den = b**2 + 3.0 * a * b, 6 * a
-    beta = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-    num, den = 1 * b**3, 6 * a * (a + b)
-    eta = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-    # SciPy then adds its (here zero) two-point term, turning -0.0 into 0.0
-    result += 0.0
-    return result
+    rho = x_end + y
+    j = zbar_correction(gamma, rho, s)
+    return x_end * (gamma * j + erfc(rho / math.sqrt(2.0 * s))) + j
+
+
+def _kern_beyond(gamma: float, x_end: float, y: np.ndarray, s: float) -> np.ndarray:
+    """Mass beyond x_end of each kern row, 4 pi x^2 pbar_sphere_mean(s, y, x).
+
+    Its free part is the law of |y e + B_s|, whose tail is
+    (erfc(a/sqrt2) + erfc(b/sqrt2))/2 + (sqrt(s)/y) (phi(a) - phi(b)).
+    """
+    a = (x_end - y) / math.sqrt(s)
+    b = (x_end + y) / math.sqrt(s)
+    # phi(a) - phi(b) = -phi(a) expm1(-2 x_end y / s), without cancellation
+    free = (0.5 * (erfc(a / math.sqrt(2.0)) + erfc(b / math.sqrt(2.0)))
+            - math.sqrt(s / _TWO_PI) / y * np.exp(-0.5 * a * a) * np.expm1(-2.0 * x_end * y / s))
+    return free + _interaction_beyond(gamma, x_end, y, s) / y
 
 
 @lru_cache(maxsize=4)
@@ -368,27 +363,30 @@ def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
     dt = 1.0 / n_steps
 
     marg = marginal_radial(p, dt, grid=x)
-    # the marginal is normalized analytically, so its Simpson mass doubles
-    # as a tail-coverage certificate for the first draw
-    reach = float(_simpson(marg.values, x))
-    if reach < 1.0 - _TAIL_DEFICIT:
+    # the first draw's mass beyond the grid: Z(1 - dt, x) decreases in x, so
+    # it is at most Z(1 - dt, x[-1]) times the interaction part's tail
+    lost = (_interaction_beyond(p.gamma, x[-1], 0.0, dt) / zeta_constant(p.gamma)
+            * _zbar_closed(p.gamma, x[-1], 1.0 - dt))
+    if not lost <= _TAIL_DEFICIT:
         raise GridExhaustionError(
-            f"radial grid [0, {x[-1]:g}] captures only {reach:.8f} of the "
-            f"time-{dt:g} marginal; enlarge the grid"
+            f"radial grid [0, {x[-1]:g}] misses {lost:.3g} of the time-{dt:g} marginal; "
+            "enlarge the grid"
         )
     first_cdf = density_cdf(x, marg.values)
     body = x[1:]
     mean = pbar_sphere_mean(p, dt, y[:, None], body[None, :])
     kern = 4.0 * math.pi * body[None, :] ** 2 * mean
     col0 = 2.0 * kernel_closed_form(p.gamma, y, dt)
-    return _ChainTables(p.gamma, n_steps, x, y, first_cdf, kern, col0)
+    kern_tail = _kern_beyond(p.gamma, x[-1], y, dt)
+    return _ChainTables(p.gamma, n_steps, x, y, first_cdf, kern, col0, kern_tail)
 
 
-def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray):
-    """Unnormalized rows of step k (2 <= k <= n_steps) from the given anchors.
+def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray) -> np.ndarray:
+    """Normalized CDF rows of step k (2 <= k <= n_steps) from the given anchors.
 
-    Also returns, per row, whether the grid holds all but _TAIL_DEFICIT of
-    the partition factor still ahead of the anchor.
+    A row's exact mass is Z(tail + dt, y).  Raises GridExhaustionError if its
+    bound beyond the grid's end exceeds _TAIL_DEFICIT of that, or its
+    trapezoid total misses it by more than _ROW_MASS_TOL.
     """
     x, y = tab.x_grid, tab.y_grid
     dt = 1.0 / tab.n_steps
@@ -400,11 +398,26 @@ def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray):
         col0 = tab.col0[anchors] * zc / y[anchors]
     else:
         col0 = np.zeros(anchors.size)
-    weight = _zbar_closed(tab.gamma, x[1:], tail)[None, :]
-    rows = np.concatenate([col0[:, None], tab.kern[anchors] * weight], axis=1)
-    # row mass should match the partition factor still ahead of the anchor
-    expected = _zbar_closed(tab.gamma, y, tail + dt)[anchors]
-    return rows, _simpson(rows, x) >= (1.0 - _TAIL_DEFICIT) * expected
+    weight = _zbar_closed(tab.gamma, x[1:], tail)
+    rows = np.concatenate([col0[:, None], tab.kern[anchors] * weight[None, :]], axis=1)
+    cum = _cumulative_trapezoid(x, rows)
+    mass = _zbar_closed(tab.gamma, y[anchors], tail + dt)
+    short = ~(tab.kern_tail[anchors] * weight[-1] <= _TAIL_DEFICIT * mass)
+    if short.any():
+        raise GridExhaustionError(
+            f"transition row from r = {y[anchors][short][0]:.4g} at step {k} has more than "
+            f"{_TAIL_DEFICIT:g} of its mass beyond the grid's end {x[-1]:g}; enlarge the grid"
+        )
+    ratio = cum[:, -1] / mass
+    coarse = ~(np.abs(ratio - 1.0) <= _ROW_MASS_TOL)
+    if coarse.any():
+        i = np.flatnonzero(coarse)[0]
+        raise GridExhaustionError(
+            f"transition row from r = {y[anchors[i]]:.4g} at step {k} holds {ratio[i]:.6f} of "
+            f"its mass on the grid, off by more than {_ROW_MASS_TOL:g}: the grid is too "
+            f"coarse for {tab.n_steps} steps; use fewer steps"
+        )
+    return cum / cum[:, -1:]
 
 
 def _inverse_cdf(
@@ -446,18 +459,10 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
         # this step's rows, for the bracketing anchors in use only:
         # row[:m] indexes each path's lo row, row[m:] its hi row
         anchors, row = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        rows, ok = _step_rows(tab, k, anchors)
-        ok = ok[row[:m]] & ok[row[m:]]
-        if not np.all(ok):
-            raise GridExhaustionError(
-                f"transition CDF from r = {r_prev[~ok][0]:.4g} at step {k} misses "
-                f"more than {_TAIL_DEFICIT:g} of its mass on [0, {x[-1]:g}]; "
-                "enlarge the grid"
-            )
         # quantile interpolation between the bracketing anchor rows
         frac = np.clip((r_prev - y[lo]) / (y[hi] - y[lo]), 0.0, 1.0)
         u = uniforms[:, k - 1]
-        q = _inverse_cdf(x, density_cdf(x, rows), row, np.concatenate([u, u]))
+        q = _inverse_cdf(x, _step_rows(tab, k, anchors), row, np.concatenate([u, u]))
         out[:, k] = (1.0 - frac) * q[:m] + frac * q[m:]
     return out
 

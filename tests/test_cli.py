@@ -153,8 +153,15 @@ class TestDegenerateInputs:
          "potential file {well!r} line 2: expected two numbers r,v, got ['0.0', '3.0', '1.0']"),
         ("r,v\n0.0,3.0\n0.5,abc\n", '{"r_support": 0.5}',
          "potential file {well!r} line 3: expected two numbers r,v, got ['0.5', 'abc']"),
+        ("radius,value\n0.0,3.0\n0.5,0.0\n", '{"r_support": 0.5}',
+         "potential file {well!r} line 1: expected header 'r,v', got ['radius', 'value']"),
+        ("r,v\n0.5,0.0\n", '{"r_support": 0.5}',
+         "potential file {well!r} needs at least two rows"),
+        ("r,v\n0.0,3.0\n0.5,1.0\n", '{"r_support": 0.5}',
+         "potential file {well!r}: last row must close the support with v = 0"),
     ], ids=["null", "list", "number", "string", "inf", "nan", "past-a-double", "empty-csv",
-            "blank-row", "three-cells", "not-a-number"])
+            "blank-row", "three-cells", "not-a-number", "wrong-header", "one-row",
+            "open-support"])
     def test_malformed_potential_file(self, tmp_path, capsys, csv_text, sidecar, reason):
         well = tmp_path / "well.csv"
         well.write_text(csv_text)
@@ -334,6 +341,18 @@ class TestSampleCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: n = 1000000000000 paths need")
         assert not (tmp_path / "paths.csv").exists()
+
+    def test_512_steps_complete(self, tmp_path, capsys):
+        assert main(["sample", "--steps", "512", "--n-paths", "1000",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "paths.csv").read_text().splitlines()
+        assert len(lines) == 1001 and lines[0].count(",") == 513
+
+    def test_too_many_steps_for_the_grid_exit_1(self, tmp_path, capsys):
+        # the rows' trapezoid totals drift past 1e-3 of their exact mass
+        _assert_one_error_line(tmp_path, capsys,
+                               ["sample", "--steps", "4096", "--n-paths", "1000"],
+                               "the grid is too coarse for 4096 steps; use fewer steps")
 
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYMER_LAB_SEED", "ninety-one")

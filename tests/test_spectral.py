@@ -91,8 +91,10 @@ class TestGroundState:
         psi = ball_summary.psi
         rs = np.array([0.25, 0.5, 0.9])
         ref = np.sin(math.pi * rs / 2.0) / rs
-        assert np.allclose(psi(rs), ref, rtol=2e-3)
-        assert psi(2.0) == 0.5  # exterior continues as exactly 1/r
+        assert np.allclose(np.interp(rs, psi.grid, psi.values), ref, rtol=2e-3)
+        # the table spans the support and meets the exterior 1/r there
+        assert psi.grid[-1] == psi.r_support == 1.0
+        assert psi.values[-1] == pytest.approx(1.0 / psi.r_support, rel=1e-14)
         assert psi.at_origin == pytest.approx(math.pi / 2.0, rel=2e-3)
 
 

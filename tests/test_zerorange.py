@@ -20,9 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from polymer_lab import zerorange
 from polymer_lab._streams import seed_pcg64, spawn_words
@@ -31,8 +29,9 @@ from polymer_lab.radial import RadialDensity, default_radial_grid
 from polymer_lab.zerorange import (
     GridExhaustionError,
     ZeroRangeParams,
+    _interaction_beyond,
     _inverse_cdf,
-    _simpson,
+    _kern_beyond,
     _step_rows,
     _tables,
     _walk,
@@ -322,6 +321,14 @@ class TestValidation:
             sample_paths(self.p, 4, 0, seed=1)
 
 
+def _marginal_ks(p, paths, t):
+    """KS distance of the sampled radii at time t from the closed-form marginal."""
+    n, col = paths.shape[0], round(t * (paths.shape[1] - 1))
+    m = marginal_radial(p, t)
+    model = np.interp(np.sort(paths[:, col]), m.grid, m.cdf())
+    return float(np.max(np.abs(np.arange(1, n + 1) / n - model)))
+
+
 class TestSampler:
     def test_deterministic_and_batch_consistent(self):
         p = ZeroRangeParams(1.0)
@@ -343,33 +350,50 @@ class TestSampler:
         # radial marginal; 1.36 / sqrt(n) would be the 5% band for iid
         # exact draws, the factor 3 absorbs quantile interpolation bias
         p = ZeroRangeParams(gamma)
-        n = 30000
-        paths = sample_paths(p, 16, n, seed=11)
-        for t, col in ((1.0, 16), (0.5, 8)):
-            m = marginal_radial(p, t)
-            cdf = m.cdf()
-            order = np.argsort(paths[:, col])
-            emp = np.arange(1, n + 1) / n
-            model = np.interp(paths[order, col], m.grid, cdf)
-            ks = float(np.max(np.abs(emp - model)))
+        paths = sample_paths(p, 16, 30000, seed=11)
+        for t in (1.0, 0.5):
+            ks = _marginal_ks(p, paths, t)
+            assert ks < 0.025, f"gamma={gamma} t={t}: KS {ks:.4f}"
+
+    @pytest.mark.parametrize("gamma", [1.0, -2.0])
+    def test_marginals_match_density_at_512_steps(self, gamma):
+        # a step count whose rows sit near the grid's spacing seam, under
+        # the same bound as the 16-step draws
+        p = ZeroRangeParams(gamma)
+        paths = sample_paths(p, 512, 10000, seed=11)
+        for t in (1.0, 0.5):
+            ks = _marginal_ks(p, paths, t)
             assert ks < 0.025, f"gamma={gamma} t={t}: KS {ks:.4f}"
 
     def test_anchor_rows_certified_in_bulk(self):
         tab = _tables(ZeroRangeParams(1.0), 4)
         anchors = np.arange(tab.y_grid.size)
         for k in range(2, 5):
-            _, ok = _step_rows(tab, k, anchors)
-            # far-edge anchors may honestly fail the tail certificate; the
-            # bulk of the grid must hold it
-            assert ok[:200].all(), k
-            assert ok.mean() > 0.9, k
+            # the bulk of the grid, 90% of the anchors from the origin out,
+            # holds both conditions; far-edge anchors honestly fail the tail's
+            cdfs = _step_rows(tab, k, anchors[:231])
+            assert np.all(cdfs[:, -1] == 1.0) and np.all(np.diff(cdfs, axis=1) >= 0.0), k
+            with pytest.raises(GridExhaustionError, match="beyond the grid's end 8; enlarge"):
+                _step_rows(tab, k, anchors)
 
     def test_uncertified_row_raises(self):
         tab = _tables(ZeroRangeParams(1.0), 4)
         # half the kernel's mass: no row reaches the partition factor ahead
         bad = dataclasses.replace(tab, kern=0.5 * tab.kern)
-        with pytest.raises(GridExhaustionError, match="misses more than .* enlarge the grid"):
+        with pytest.raises(GridExhaustionError, match="holds 0.5.* too coarse .* use fewer steps"):
             _walk(bad, np.full((3, 4), 0.5))
+
+    def test_short_grid_trips_tail_condition(self, monkeypatch):
+        p = ZeroRangeParams(1.0)
+        # built past the cache, so no short-grid table outlives the test
+        monkeypatch.setattr(zerorange, "default_radial_grid", lambda: default_radial_grid(3.0))
+        tab = _tables.__wrapped__(p, 4)
+        with pytest.raises(GridExhaustionError, match="beyond the grid's end 3; enlarge the grid"):
+            _walk(tab, np.full((3, 4), 0.5))
+        # shorter still, the first draw's own tail trips it
+        monkeypatch.setattr(zerorange, "default_radial_grid", lambda: default_radial_grid(2.4))
+        with pytest.raises(GridExhaustionError, match="time-0.25 marginal; enlarge the grid"):
+            _tables.__wrapped__(p, 4)
 
     def test_escaping_grid_raises(self):
         tab = _tables(ZeroRangeParams(1.0), 4)
@@ -447,34 +471,53 @@ class TestSampler:
             assert got[i] == xs[j - 1] + w * (xs[j] - xs[j - 1]), i
 
 
-class TestSimpsonPort:
-    """zerorange._simpson against scipy.integrate.simpson, its test oracle."""
+class TestChainTails:
+    """The sampler's mass beyond the grid's end, against quadrature as the oracle."""
 
-    @given(
-        steps=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=40),
-        rows=st.one_of(st.none(), st.integers(1, 4)),
-        data=st.data(),
-    )
-    def test_bit_for_bit_on_drawn_grids(self, steps, rows, data):
-        # zero steps repeat a node, which takes the guarded divisions' zero
-        # branches; N = len(steps) + 1 runs over both parities
-        x = np.concatenate(([data.draw(st.floats(-5.0, 5.0))], steps)).cumsum()
-        shape = (x.size,) if rows is None else (rows, x.size)
-        values = data.draw(st.lists(
-            st.floats(-1e6, 1e6), min_size=math.prod(shape), max_size=math.prod(shape)
-        ))
-        y = np.array(values).reshape(shape)
-        got, want = _simpson(y, x), simpson(y, x=x, axis=-1)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    X = 8.0
 
-    def test_bit_for_bit_on_the_sampler_grid(self):
-        x = default_radial_grid()
-        marg = marginal_radial(ZeroRangeParams(1.0), 1.0 / 64, grid=x).values
-        rows, _ = _step_rows(_tables(ZeroRangeParams(1.0), 64), 2, np.arange(0, 256, 9))
-        for y, xs in ((marg, x), (rows, x), (marg[:-1], x[:-1]), (rows[:, :-1], x[:-1])):
-            assert _simpson(y, xs).tobytes() == simpson(y, x=xs, axis=-1).tobytes()
+    @pytest.mark.parametrize("gamma", [-2.0, 0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("s", [0.25, 1.0 / 64])
+    def test_kern_tail_matches_quadrature(self, gamma, s):
+        ys = np.array([1.0, 5.0, 6.5, 7.5])
+        got = _kern_beyond(gamma, self.X, ys, s)
+        for y, g in zip(ys, got):
+            # the law of |y e + B_s| and the interaction excess of one kern row
+            def row(x, y=y):
+                free = x * (math.exp(-(x - y) ** 2 / (2 * s)) - math.exp(-(x + y) ** 2 / (2 * s)))
+                return (free / math.sqrt(2 * math.pi * s)
+                        + 2.0 * x * kernel_closed_form(gamma, x + y, s)) / y
+
+            want = quad(row, self.X, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (y, g, want)
+
+    def test_tables_store_the_row_tails(self):
+        tab = _tables(ZeroRangeParams(1.0), 64)
+        want = _kern_beyond(1.0, tab.x_grid[-1], tab.y_grid, 1.0 / 64)
+        assert tab.kern_tail.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [-2.0, 0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("s", [0.25, 1.0 / 64])
+    def test_marginal_tail_matches_quadrature(self, gamma, s):
+        p = ZeroRangeParams(gamma)
+        zeta = zeta_constant(gamma)
+        unweighted = _interaction_beyond(gamma, self.X, 0.0, s) / zeta
+        want = quad(lambda r: 2.0 * r * kernel_closed_form(gamma, r, s) / zeta,
+                    self.X, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert unweighted == pytest.approx(want, rel=1e-12, abs=0.0)
+        # Z(1 - s, r) <= Z(1 - s, X) past X bounds the first draw's true tail,
+        # up to the quadrature's own error: Z is all but flat there
+        bound = unweighted * zbar(p, 1.0 - s, (self.X, 0.0, 0.0))
+        tail = quad(lambda r: 4.0 * math.pi * r * r * transition_R0(p, s, (r, 0.0, 0.0)),
+                    self.X, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert tail <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("tau", [1.0 / 4096, 1.0 / 64, 0.25, 1.0])
+    def test_partition_factor_decreases_beyond_grid(self, tau):
+        x = np.linspace(8.0, 40.0, 3201)
+        for gamma in np.linspace(-5.0, 37.0, 85):
+            z = zerorange._zbar_closed(float(gamma), x, tau)
+            assert np.all(np.isfinite(z)) and np.all(np.diff(z) <= 0.0), gamma
 
 
 class TestGoldenTables:
