@@ -31,7 +31,6 @@ from ._streams import refuse_oversized, seed_pcg64, spawn_words
 from .laplace import kernel_closed_form, kernel_integral, zbar_correction, zeta_constant
 from .radial import (
     RadialDensity,
-    _cumulative_trapezoid,
     default_radial_grid,
     density_cdf,
     gauss_sphere_integral,
@@ -315,6 +314,16 @@ def pbar_sphere_mean(p: ZeroRangeParams, t, r_from, r_to):
 # partition factor of the horizon left; the walk builds those rows for the
 # anchors its paths occupy, checks their mass beyond the grid and on it
 # (docs/derivations.md), draws and drops them.
+#
+# Both the table and each step's rows are built _BLOCK anchors at a time,
+# so the work arrays stay cache-sized; every operation is elementwise or
+# runs along one row, so a block holds the bits the whole array would.  A
+# path's uniforms are drawn straight into its output row, and the walk
+# replaces step k's uniform with the radius it selects.  Beside the paths
+# and the table, a walk holds one step's rows (at most 256 by 2048 values,
+# 4 MB) and about 22 values per path of per-step work arrays.
+
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +383,11 @@ def _tables(p: ZeroRangeParams, n_steps: int) -> _ChainTables:
         )
     first_cdf = density_cdf(x, marg.values)
     body = x[1:]
-    mean = pbar_sphere_mean(p, dt, y[:, None], body[None, :])
-    kern = 4.0 * math.pi * body[None, :] ** 2 * mean
+    shell = 4.0 * math.pi * body ** 2
+    kern = np.empty((y.size, body.size))
+    for i in range(0, y.size, _BLOCK):
+        np.multiply(shell, pbar_sphere_mean(p, dt, y[i:i + _BLOCK, None], body),
+                    out=kern[i:i + _BLOCK])
     col0 = 2.0 * kernel_closed_form(p.gamma, y, dt)
     kern_tail = _kern_beyond(p.gamma, x[-1], y, dt)
     return _ChainTables(p.gamma, n_steps, x, y, first_cdf, kern, col0, kern_tail)
@@ -391,16 +403,7 @@ def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray) -> np.ndarray:
     x, y = tab.x_grid, tab.y_grid
     dt = 1.0 / tab.n_steps
     tail = (tab.n_steps - k) * dt
-    # x = 0 column: x^2 * [I/(2 pi x y)] * [J(x, tail)/x] survives the
-    # limit, everything else dies; zero only on the final step
-    if tail > 0.0:
-        zc = float(zbar_correction(tab.gamma, 0.0, tail))
-        col0 = tab.col0[anchors] * zc / y[anchors]
-    else:
-        col0 = np.zeros(anchors.size)
     weight = _zbar_closed(tab.gamma, x[1:], tail)
-    rows = np.concatenate([col0[:, None], tab.kern[anchors] * weight[None, :]], axis=1)
-    cum = _cumulative_trapezoid(x, rows)
     mass = _zbar_closed(tab.gamma, y[anchors], tail + dt)
     short = ~(tab.kern_tail[anchors] * weight[-1] <= _TAIL_DEFICIT * mass)
     if short.any():
@@ -408,47 +411,83 @@ def _step_rows(tab: _ChainTables, k: int, anchors: np.ndarray) -> np.ndarray:
             f"transition row from r = {y[anchors][short][0]:.4g} at step {k} has more than "
             f"{_TAIL_DEFICIT:g} of its mass beyond the grid's end {x[-1]:g}; enlarge the grid"
         )
-    ratio = cum[:, -1] / mass
-    coarse = ~(np.abs(ratio - 1.0) <= _ROW_MASS_TOL)
-    if coarse.any():
-        i = np.flatnonzero(coarse)[0]
-        raise GridExhaustionError(
-            f"transition row from r = {y[anchors[i]]:.4g} at step {k} holds {ratio[i]:.6f} of "
-            f"its mass on the grid, off by more than {_ROW_MASS_TOL:g}: the grid is too "
-            f"coarse for {tab.n_steps} steps; use fewer steps"
-        )
-    return cum / cum[:, -1:]
+    # x = 0 column: x^2 * [I/(2 pi x y)] * [J(x, tail)/x] survives the
+    # limit, everything else dies; zero only on the final step
+    if tail > 0.0:
+        zc = float(zbar_correction(tab.gamma, 0.0, tail))
+        col0 = tab.col0[anchors] * zc / y[anchors]
+    else:
+        col0 = np.zeros(anchors.size)
+    dx = np.diff(x)
+    cdfs = np.empty((anchors.size, x.size))
+    cdfs[:, 0] = 0.0
+    rows = np.empty((min(_BLOCK, anchors.size), x.size - 1))
+    for i in range(0, anchors.size, _BLOCK):
+        # one block of rows at a time, in _cumulative_trapezoid's operand
+        # order: cum[j] = sum of dx * (row[j + 1] + row[j]) / 2
+        blk = slice(i, i + _BLOCK)
+        cum = cdfs[blk, 1:]
+        row = rows[:cum.shape[0]]
+        np.take(tab.kern, anchors[blk], axis=0, out=row)
+        row *= weight
+        np.add(row[:, 0], col0[blk], out=cum[:, 0])
+        np.add(row[:, 1:], row[:, :-1], out=cum[:, 1:])
+        cum *= dx
+        cum /= 2.0
+        np.cumsum(cum, axis=1, out=cum)
+        total = cum[:, -1].copy()
+        ratio = total / mass[blk]
+        coarse = ~(np.abs(ratio - 1.0) <= _ROW_MASS_TOL)
+        if coarse.any():
+            j = np.flatnonzero(coarse)[0]
+            raise GridExhaustionError(
+                f"transition row from r = {y[anchors[i + j]]:.4g} at step {k} holds {ratio[j]:.6f} "
+                f"of its mass on the grid, off by more than {_ROW_MASS_TOL:g}: the grid is too "
+                f"coarse for {tab.n_steps} steps; use fewer steps"
+            )
+        cum /= total[:, None]
+    return cdfs
 
 
 def _inverse_cdf(
     xs: np.ndarray, cdfs: np.ndarray, row: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    # quantile u[i] of CDF row cdfs[row[i]], all i at once.  Binary lifting
-    # finds idx = the count of entries below u[i], which on a sorted row is
-    # np.searchsorted(cdfs[row[i]], u[i], side="left")
+    # quantile u[i] of CDF row cdfs[row[i]], all i at once.  A branchless
+    # binary search over each row's first n - 1 entries finds idx = the count
+    # of them below u[i], which on a sorted row is
+    # min(np.searchsorted(cdfs[row[i]], u[i], side="left"), n - 1)
     n = xs.size
     flat = cdfs.ravel()
-    base = row * n
-    idx = np.zeros(u.size, dtype=np.intp)
-    step = 1 << (n.bit_length() - 1)
-    while step:
-        cand = np.minimum(idx + step, n)
-        idx = np.where(flat[base + cand - 1] < u, cand, idx)
-        step >>= 1
-    idx = np.clip(idx, 1, n - 1)
-    c0 = flat[base + idx - 1]
-    span = np.maximum(flat[base + idx] - c0, 1e-300)
+    start = row * n
+    pos = start.copy()  # the answer lies in [pos, pos + size]
+    at = np.empty_like(pos)
+    c = np.empty(u.size)
+    below = np.empty(u.size, dtype=bool)
+    size = n - 1
+    while size > 1:
+        half = size // 2
+        np.add(pos, half, out=at)
+        np.less(np.take(flat, at, out=c), u, out=below)
+        pos += np.multiply(below, half, out=at)  # no branch on a random mask
+        size -= half
+    np.less(np.take(flat, pos, out=c), u, out=below)
+    pos += below
+    idx = np.maximum(pos - start, 1)
+    c0 = np.take(flat, start + idx - 1)
+    span = np.maximum(np.take(flat, start + idx) - c0, 1e-300)
     w = np.clip((u - c0) / span, 0.0, 1.0)
     return xs[idx - 1] + w * (xs[idx] - xs[idx - 1])
 
 
-def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
-    m, n_steps = uniforms.shape
+def _walk(tab: _ChainTables, out: np.ndarray) -> np.ndarray:
+    # out[:, k] holds step k's uniform on entry and the radius at step k on
+    # return; each column is read before it is overwritten
+    m = out.shape[0]
     x, y = tab.x_grid, tab.y_grid
-    out = np.zeros((m, n_steps + 1))
-    out[:, 1] = _inverse_cdf(x, tab.first_cdf, np.zeros(m, np.intp), uniforms[:, 0])
-    for k in range(2, n_steps + 1):
-        r_prev = out[:, k - 1]
+    out[:, 0] = 0.0
+    out[:, 1] = _inverse_cdf(x, tab.first_cdf, np.zeros(m, np.intp), out[:, 1].copy())
+    for k in range(2, out.shape[1]):
+        r_prev = out[:, k - 1].copy()
         if np.any(r_prev > y[-1]):
             raise GridExhaustionError(
                 f"path radius {r_prev.max():.4g} left the anchor grid "
@@ -456,14 +495,20 @@ def _walk(tab: _ChainTables, uniforms: np.ndarray) -> np.ndarray:
             )
         hi = np.clip(np.searchsorted(y, r_prev), 1, y.size - 1)
         lo = hi - 1
-        # this step's rows, for the bracketing anchors in use only:
-        # row[:m] indexes each path's lo row, row[m:] its hi row
-        anchors, row = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        # this step's rows, for the bracketing anchors in use only: an
+        # anchor's row is its rank among them, and hi's row follows lo's
+        used = np.zeros(y.size, dtype=bool)
+        used[lo] = used[hi] = True
+        rank = np.cumsum(used) - 1
+        cdfs = _step_rows(tab, k, np.flatnonzero(used))
         # quantile interpolation between the bracketing anchor rows
         frac = np.clip((r_prev - y[lo]) / (y[hi] - y[lo]), 0.0, 1.0)
-        u = uniforms[:, k - 1]
-        q = _inverse_cdf(x, _step_rows(tab, k, anchors), row, np.concatenate([u, u]))
-        out[:, k] = (1.0 - frac) * q[:m] + frac * q[m:]
+        u = out[:, k].copy()
+        row = rank[lo]
+        q_lo = _inverse_cdf(x, cdfs, row, u)
+        q_hi = _inverse_cdf(x, cdfs, row + 1, u)
+        out[:, k] = (1.0 - frac) * q_lo + frac * q_hi
+        del cdfs  # before the next step's rows are built
     return out
 
 
@@ -479,20 +524,24 @@ def sample_paths(
     """Radial bridge paths at times k / n_steps, shape (n_paths, n_steps + 1).
 
     Path i draws from the i-th stream spawned off SeedSequence(seed), so it
-    is deterministic in (seed, i) alone, whatever n_paths is.
+    is deterministic in (seed, i) alone, whatever n_paths is.  Its uniforms
+    are drawn into its own row of the returned array, and the walk replaces
+    them with radii step by step.  Beyond that array, the cached table
+    (about 4 MB, built in blocks of anchors) and one step's rows (at most
+    4 MB), the walk holds about 22 values per path.
     """
     n_steps = _check_steps(n_steps)
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
     n_paths = int(n_paths)
-    # per path: the uniforms, the walk's output, four stream words and
-    # about 24 values of the walk's per-step work arrays
-    refuse_oversized(n_paths, 8 * n_paths * (2 * n_steps + 29))
+    # per path: the walk's output, four stream words and up to 27 values of
+    # the walk's per-step work arrays (20 and 22 traced at 64 and 512 steps)
+    refuse_oversized(n_paths, 8 * n_paths * (n_steps + 32))
     words = spawn_words(seed, n_paths)
     tab = _tables(p, n_steps)
     gen = np.random.Generator(np.random.PCG64(0))
-    uniforms = np.empty((n_paths, n_steps))
+    out = np.empty((n_paths, n_steps + 1))
     for i in range(n_paths):
         seed_pcg64(gen.bit_generator, words[i].tolist())
-        gen.random(out=uniforms[i])
-    return _walk(tab, uniforms)
+        gen.random(out=out[i, 1:])
+    return _walk(tab, out)

@@ -381,7 +381,7 @@ class TestSampler:
         # half the kernel's mass: no row reaches the partition factor ahead
         bad = dataclasses.replace(tab, kern=0.5 * tab.kern)
         with pytest.raises(GridExhaustionError, match="holds 0.5.* too coarse .* use fewer steps"):
-            _walk(bad, np.full((3, 4), 0.5))
+            _walk(bad, np.full((3, 5), 0.5))
 
     def test_short_grid_trips_tail_condition(self, monkeypatch):
         p = ZeroRangeParams(1.0)
@@ -389,7 +389,7 @@ class TestSampler:
         monkeypatch.setattr(zerorange, "default_radial_grid", lambda: default_radial_grid(3.0))
         tab = _tables.__wrapped__(p, 4)
         with pytest.raises(GridExhaustionError, match="beyond the grid's end 3; enlarge the grid"):
-            _walk(tab, np.full((3, 4), 0.5))
+            _walk(tab, np.full((3, 5), 0.5))
         # shorter still, the first draw's own tail trips it
         monkeypatch.setattr(zerorange, "default_radial_grid", lambda: default_radial_grid(2.4))
         with pytest.raises(GridExhaustionError, match="time-0.25 marginal; enlarge the grid"):
@@ -399,7 +399,7 @@ class TestSampler:
         tab = _tables(ZeroRangeParams(1.0), 4)
         tiny = dataclasses.replace(tab, y_grid=tab.y_grid / 100.0)
         with pytest.raises(GridExhaustionError, match="left the anchor grid"):
-            _walk(tiny, np.full((3, 4), 0.9))
+            _walk(tiny, np.full((3, 5), 0.9))
 
     def test_paths_pinned_bit_for_bit(self):
         # pins the draws themselves: any change in the order of the table's
@@ -410,6 +410,20 @@ class TestSampler:
         assert hashlib.sha256(paths.tobytes()).hexdigest() == (
             "5be8804c16ee16d609b3c9749a78be16b67eb36c7234b9739de454b809ed32b0"
         )
+
+    @pytest.mark.parametrize(
+        "gamma, n_steps, n_paths, seed, digest",
+        [
+            (-2.0, 16, 5000, 3, "81c14d50db719a81eb82ad74839cdba40409116f1a630a0c34fc66aa543071aa"),
+            (10.0, 64, 3000, 5, "738b68233959568d5e9cdacfb622533a38a4059dfcb918213f4394095832ee7c"),
+            (1.0, 512, 1000, 101, "25b6e638a5d4c615bf5c465c60e49192dee769bf852ee8e1a86cc491df709057"),
+        ],
+    )
+    def test_more_settings_pinned_bit_for_bit(self, gamma, n_steps, n_paths, seed, digest):
+        # repulsive, strongly attractive and fine-stepped draws, pinned
+        # before the table and the rows were built in blocks of anchors
+        paths = sample_paths(ZeroRangeParams(gamma), n_steps, n_paths, seed=seed)
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
     def test_streams_match_spawned_generators(self, seed):
@@ -445,6 +459,41 @@ class TestSampler:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_sampler_working_memory(self):
+        # 20k paths of 64 steps: the 10.4 MB of paths, their stream words
+        # and the walk's per-step arrays traced 19.1 MB at peak (34.9 MB
+        # with a separate uniforms array and whole-array rows)
+        p = ZeroRangeParams(1.0)
+        _tables(p, 64)
+        tracemalloc.start()
+        try:
+            sample_paths(p, 64, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_table_build_memory(self):
+        # the 4.2 MB table built 16 anchors at a time traced 8.1 MB at peak
+        # (51.4 MB when the kernel was evaluated on the whole 256 x 2047 grid)
+        tracemalloc.start()
+        try:
+            _tables.__wrapped__(ZeroRangeParams(1.0), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("gamma", [-2.0, 0.0, 1.0, 10.0, 37.0])
+    @pytest.mark.parametrize("n_steps", [16, 64, 512])
+    def test_blocked_kern_matches_whole_array(self, gamma, n_steps):
+        p = ZeroRangeParams(gamma)
+        tab = _tables.__wrapped__(p, n_steps)
+        body = tab.x_grid[1:]
+        mean = pbar_sphere_mean(p, 1.0 / n_steps, tab.y_grid[:, None], body[None, :])
+        whole = 4.0 * math.pi * body[None, :] ** 2 * mean
+        assert tab.kern.tobytes() == whole.tobytes()
+
     def test_table_memory_independent_of_steps(self):
         def held(tab):
             return sum(a.nbytes for a in vars(tab).values() if isinstance(a, np.ndarray))
@@ -456,19 +505,26 @@ class TestSampler:
 
     def test_quantile_lookup_matches_searchsorted(self):
         rng = np.random.default_rng(5)
-        xs = np.linspace(0.0, 3.0, 37)
-        inc = rng.random((6, xs.size - 1))
-        inc[:, 10:14] = 0.0  # flat stretches: ties must resolve leftmost
-        cdfs = np.concatenate([np.zeros((6, 1)), np.cumsum(inc, axis=1)], axis=1)
-        cdfs /= cdfs[:, -1:]
-        row = rng.integers(0, 6, 400)
-        u = np.concatenate([rng.random(200), cdfs[row[200:], rng.integers(0, xs.size, 200)]])
-        got = _inverse_cdf(xs, cdfs, row, u)
-        for i in range(u.size):
-            cdf = cdfs[row[i]]
-            j = min(max(int(np.searchsorted(cdf, u[i], side="left")), 1), xs.size - 1)
-            w = min(max((u[i] - cdf[j - 1]) / max(cdf[j] - cdf[j - 1], 1e-300), 0.0), 1.0)
-            assert got[i] == xs[j - 1] + w * (xs[j] - xs[j - 1]), i
+        # the search covers each row's first n - 1 entries: 2047 on the
+        # sampler's 2048-point grid, a power of two at n = 2049
+        for n in (37, 2048, 2049):
+            xs = np.linspace(0.0, 3.0, n)
+            inc = rng.random((6, n - 1))
+            inc[:, 10:14] = 0.0  # flat stretches: ties must resolve leftmost
+            inc[:3, -(n // 4):] = 0.0  # rows that reach 1.0 early and stay there
+            cdfs = np.concatenate([np.zeros((6, 1)), np.cumsum(inc, axis=1)], axis=1)
+            cdfs /= cdfs[:, -1:]
+            row = rng.integers(0, 6, 400)
+            u = np.concatenate([
+                rng.random(200), cdfs[row[200:390], rng.integers(0, n, 190)],
+                np.zeros(5), np.ones(5),
+            ])
+            got = _inverse_cdf(xs, cdfs, row, u)
+            for i in range(u.size):
+                cdf = cdfs[row[i]]
+                j = min(max(int(np.searchsorted(cdf, u[i], side="left")), 1), n - 1)
+                w = min(max((u[i] - cdf[j - 1]) / max(cdf[j] - cdf[j - 1], 1e-300), 0.0), 1.0)
+                assert got[i] == xs[j - 1] + w * (xs[j] - xs[j - 1]), (n, i)
 
 
 class TestChainTails:
