@@ -48,7 +48,7 @@ import numpy as np
 from . import laplace, zerorange
 from .potentials import RadialPotential, scaled_ball_potential
 from .radial import density_cdf
-from .spectral import compute_summary, gamma_of_chi, principal_eigenvalue
+from .spectral import compute_summary, gamma_of_chi, principal_eigenvalue, window_horizons
 
 __all__ = [
     "ConvergenceTable",
@@ -249,7 +249,7 @@ class ConvergenceTable:
     @property
     def strictly_decreasing(self) -> bool:
         e = self.errors
-        return all(b < a for a, b in zip(e, e[1:]))
+        return len(e) >= 2 and all(b < a for a, b in zip(e, e[1:]))
 
 
 def _horizon_ladder(
@@ -259,10 +259,11 @@ def _horizon_ladder(
 
     observe(beta, T, r) is the flow at beta = beta_cr + chi/sqrt(T), read at
     r = x sqrt(T); target(summary, gamma, x) is the zero-range limit, which
-    is checked for finiteness before any flow runs.
+    is checked for finiteness before any flow runs, and so are t and T_list.
     """
-    if not all(math.isfinite(T) and T > 0.0 for T in T_list):
-        raise ValueError(f"every horizon T must be positive and finite, got {tuple(T_list)!r}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    T_list = window_horizons(T_list)
     summary = compute_summary(v)
     gamma = gamma_of_chi(summary, chi)
     xs = np.asarray(_X_LIST, dtype=float)
@@ -278,7 +279,7 @@ def _horizon_ladder(
             raise ValueError(
                 f"T = {T!r}: the flow value is not finite (chi = {chi!r}, gamma = {gamma!r})"
             )
-        rows.append((float(T), err))
+        rows.append((T, err))
     return ConvergenceTable(
         parameter="T",
         rows=tuple(rows),

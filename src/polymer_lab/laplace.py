@@ -6,12 +6,14 @@ transform
     I(gamma, rho, t) = (1/2pi i) int e^{lam t - sqrt(2 lam) rho} / (sqrt(2 lam) - gamma) dlam,
 
 and every observable of the limit measures is built from it and from its
-time integral J.  Both have elementary closed forms in erfc and erfcx,
-which are the package's only route to them, for point calls and grids
-alike.  erfc and erfcx are the package's own (:mod:`._special`); SciPy is
-not imported at run time.  The Bromwich contour quadrature that evaluates
-the integral directly is a test oracle: it lives with the tests
-(``tests/bromwich.py``) and pins these closed forms there.
+time integral J, at one coupling and one time over many radii.  Both have
+elementary closed forms in erfc and erfcx, the package's only route to
+them: gamma and t are scalars (anything else raises TypeError), and rho is
+a scalar (the result is a float) or an array (elementwise).  erfc and
+erfcx are the package's own (:mod:`._special`); SciPy is not imported at
+run time.  The Bromwich contour quadrature that evaluates the integral
+directly is a test oracle: it lives with the tests (``tests/bromwich.py``)
+and pins these closed forms there.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _all_finite(x) -> bool:
     return math.isfinite(x) if x.ndim == 0 else bool(np.isfinite(x).all())
 
 
-def _reflected(gamma, rho, t, z, gauss):
+def _reflected(gamma: float, rho, t: float, z, gauss):
     """e^{-rho^2/2t} erfcx(z), z = (rho - gamma t)/sqrt(2t), through the reflection.
 
     erfcx(z) = 2 e^{z^2} - erfcx(-z), and e^{z^2} e^{-rho^2/2t} folds into one
@@ -71,8 +73,8 @@ def _reflected(gamma, rho, t, z, gauss):
         return 2.0 * np.exp(0.5 * gamma * gamma * t - gamma * rho) - gauss * erfcx(-z)
 
 
-def kernel_closed_form(gamma, rho, t):
-    """Closed form of the interaction kernel, elementwise in (gamma, rho, t).
+def kernel_closed_form(gamma: float, rho, t: float):
+    """Closed form of the interaction kernel, elementwise in rho.
 
     I(gamma, rho, t) = e^{-rho^2/2t} [ 1/sqrt(2 pi t) + (gamma/2) erfcx((rho - gamma t)/sqrt(2t)) ].
 
@@ -82,12 +84,11 @@ def kernel_closed_form(gamma, rho, t):
     where the kernel exceeds a double.  The test suite pins it against the
     Bromwich quadrature oracle.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma, t = float(gamma), float(t)
     rho = np.asarray(rho, dtype=float)
-    t = np.asarray(t, dtype=float)
     gauss = np.exp(-rho * rho / (2.0 * t))
-    z = (rho - gamma * t) / np.sqrt(2.0 * t)
-    scale = 1.0 / np.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx(z)
+    z = (rho - gamma * t) / math.sqrt(2.0 * t)
+    scale = 1.0 / math.sqrt(2.0 * math.pi * t) + 0.5 * gamma * erfcx(z)
     if _all_finite(scale):
         out = gauss * scale  # gauss <= 1, so finite
     else:
@@ -96,15 +97,14 @@ def kernel_closed_form(gamma, rho, t):
         with np.errstate(invalid="ignore"):
             out = np.array(gauss * scale)
         big = ~np.isfinite(out)
-        g, r, tt, zz, gs = (a[big] for a in np.broadcast_arrays(gamma, rho, t, z, gauss))
-        out[big] = gs / np.sqrt(2.0 * math.pi * tt) + 0.5 * g * _reflected(g, r, tt, zz, gs)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        gs = gauss[big]
+        out[big] = (gs / math.sqrt(2.0 * math.pi * t)
+                    + 0.5 * gamma * _reflected(gamma, rho[big], t, z[big], gs))
+    return float(out) if out.ndim == 0 else out
 
 
-def zbar_correction(gamma, rho, t):
-    """Time integral J(gamma, rho, t) = int_0^t I(gamma, rho, tau) dtau, elementwise.
+def zbar_correction(gamma: float, rho, t: float):
+    """Time integral J(gamma, rho, t) = int_0^t I(gamma, rho, tau) dtau, elementwise in rho.
 
     For gamma away from zero,
 
@@ -119,39 +119,25 @@ def zbar_correction(gamma, rho, t):
     The partition function of the zero-range measure is 1 + J(gamma,|x|,t)/|x|,
     hence the name.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma, t = float(gamma), float(t)
     rho = np.asarray(rho, dtype=float)
-    t = np.asarray(t, dtype=float)
-    gamma_b, rho_b, t_b = np.broadcast_arrays(gamma, rho, t)
+    gauss = np.exp(-rho * rho / (2.0 * t))
+    tail = erfc(rho / math.sqrt(2.0 * t))
 
-    arg = rho_b / np.sqrt(2.0 * t_b)
-    gauss = np.exp(-rho_b * rho_b / (2.0 * t_b))
-    tail = erfc(arg)
-
-    small = np.abs(gamma_b) < 1e-6
-    g_safe = np.where(small, 1.0, gamma_b)
-    z = (rho_b - gamma_b * t_b) / np.sqrt(2.0 * t_b)
-    scaled = erfcx(z)
-    if _all_finite(scaled):
-        big_branch = (gauss * scaled - tail) / g_safe
+    if abs(gamma) < 1e-6:
+        j0 = math.sqrt(2.0 * t / math.pi) * gauss - rho * tail
+        # d/dgamma at 0: (1/2) [ (t + rho^2) erfc - rho sqrt(2t/pi) e^{-rho^2/2t} ]
+        j1 = 0.5 * ((t + rho * rho) * tail - rho * math.sqrt(2.0 * t / math.pi) * gauss)
+        out = j0 + gamma * j1
     else:
+        z = (rho - gamma * t) / math.sqrt(2.0 * t)
         with np.errstate(invalid="ignore"):  # 0 * inf, recomputed below as above
-            big_branch = (gauss * scaled - tail) / g_safe
-    if not _all_finite(big_branch):
-        big_branch = np.array(big_branch)
-        big = ~np.isfinite(big_branch)
-        big_branch[big] = (_reflected(gamma_b[big], rho_b[big], t_b[big], z[big], gauss[big])
-                           - tail[big]) / g_safe[big]
-
-    j0 = np.sqrt(2.0 * t_b / math.pi) * gauss - rho_b * tail
-    # d/dgamma at 0: (1/2) [ (t + rho^2) erfc - rho sqrt(2t/pi) e^{-rho^2/2t} ]
-    j1 = 0.5 * ((t_b + rho_b * rho_b) * tail - rho_b * np.sqrt(2.0 * t_b / math.pi) * gauss)
-    small_branch = j0 + gamma_b * j1
-
-    out = np.where(small, small_branch, big_branch)
-    if out.ndim == 0:
-        return float(out)
-    return out
+            out = (gauss * erfcx(z) - tail) / gamma
+        if not _all_finite(out):
+            out = np.array(out)
+            big = ~np.isfinite(out)
+            out[big] = (_reflected(gamma, rho[big], t, z[big], gauss[big]) - tail[big]) / gamma
+    return float(out) if out.ndim == 0 else out
 
 
 def zeta_constant(gamma: float) -> float:

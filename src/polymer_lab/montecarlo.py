@@ -329,11 +329,7 @@ def _derived_seed(seed: int, k: int) -> int:
 
 def _window(v: RadialPotential, chi: float, T_list, dt: float) -> tuple[list, float, float]:
     """The drivers' prologue: check T_list and dt; the horizons, beta_cr and gamma = c chi."""
-    T_list = [float(T) for T in T_list]
-    if not T_list or sorted(T_list) != T_list:
-        raise ValueError("T_list must be non-empty and increasing")
-    if not all(math.isfinite(T) and T > 0.0 for T in T_list):
-        raise ValueError(f"every horizon T must be positive and finite, got {tuple(T_list)!r}")
+    T_list = spectral.window_horizons(T_list)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     summary = spectral.compute_summary(v)

@@ -58,10 +58,11 @@ __all__ = [
     "gamma1_via_expansion",
     "compute_summary",
     "gamma_of_chi",
+    "window_horizons",
 ]
 
 
-class BracketError(RuntimeError):
+class BracketError(ValueError):
     """Root bracketing failed; the potential is outside the solver's reach."""
 
 
@@ -158,6 +159,17 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: 
     raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
 
 
+def _constant(name: str, formula: Callable[[], float]) -> float:
+    """formula() as a float; ValueError when it, or a step to it, leaves a double's range."""
+    try:
+        value = float(formula())
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:  # every constant here is positive
+        raise ValueError(f"{name} does not fit a double for this well")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # exact cell-by-cell propagation
 
@@ -223,7 +235,8 @@ def critical_beta(v: RadialPotential) -> float:
 
     # natural scale: an indicator well of this height and width is critical
     # near (pi^2/8)/(v_max R^2)
-    scale = (math.pi**2 / 8.0) / (v.v_max * v.r_support**2)
+    scale = _constant("the coupling scale (pi^2/8)/(v_max R^2)",
+                      lambda: (math.pi**2 / 8.0) / (v.v_max * v.r_support**2))
     lo = 0.0
     hi = 0.5 * scale
     for _ in range(200):
@@ -439,9 +452,9 @@ def compute_summary(v: RadialPotential) -> SpectralSummary:
     weights = 0.5 * h * _GL_W * v.values[:, None]
     i_vpsi = 4.0 * math.pi * float(np.sum(weights * wx * x))
     i_vpsi2 = 4.0 * math.pi * float(np.sum(weights * wx * wx))
-    gamma1 = float(i_vpsi**2 / (math.sqrt(2.0) * math.pi * i_vpsi2))
-    kappa = float(1.0 / (beta_cr * i_vpsi))
-    c = math.sqrt(2.0) / (beta_cr**2 * gamma1)
+    gamma1 = _constant("gamma1", lambda: i_vpsi**2 / (math.sqrt(2.0) * math.pi * i_vpsi2))
+    kappa = _constant("kappa", lambda: 1.0 / (beta_cr * i_vpsi))
+    c = _constant("c", lambda: math.sqrt(2.0) / (beta_cr**2 * gamma1))
     return SpectralSummary(beta_cr=beta_cr, psi=psi, gamma1=gamma1, kappa=kappa, c=c)
 
 
@@ -450,3 +463,13 @@ def gamma_of_chi(summary: SpectralSummary, chi: float) -> float:
     if not math.isfinite(chi):
         raise ValueError("chi must be finite")
     return summary.c * chi
+
+
+def window_horizons(T_list: Sequence[float]) -> list[float]:
+    """Ladder horizons T as floats; ValueError unless positive, finite and strictly increasing."""
+    T_list = [float(T) for T in T_list]
+    if not all(math.isfinite(T) and T > 0.0 for T in T_list):
+        raise ValueError(f"every horizon T must be positive and finite, got {tuple(T_list)!r}")
+    if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
+        raise ValueError(f"T_list must be non-empty and strictly increasing, got {tuple(T_list)!r}")
+    return T_list

@@ -133,8 +133,15 @@ class TestDegenerateInputs:
         (["verify-theorem", "--dt", "0", "--T", "1"], "dt must be positive and finite"),
         (["verify-prop2", "--dt", "0", "--T", "1"], "dt must be positive and finite"),
         (["spectral", "--potential", "ball(1e-300,1)"], "the well height is not finite"),
+        (["verify-prop1", "--T", "400,100,25"], "T_list must be non-empty and strictly increasing"),
+        (["verify-prop3", "--T", "100,100"], "T_list must be non-empty and strictly increasing"),
+        (["verify-theorem", "--T", "4,4"], "T_list must be non-empty and strictly increasing"),
+        (["verify-prop2", "--T", "4,4"], "T_list must be non-empty and strictly increasing"),
+        (["verify-prop1", "--t", "0"], "t must be positive and finite, got 0.0"),
+        (["verify-prop3", "--t", "inf"], "t must be positive and finite, got inf"),
     ], ids=["prop1-T0", "prop3-T0", "prop2-T0", "prop2-Tinf", "theorem-Tinf", "theorem-dt0",
-            "prop2-dt0", "ball-underflow"])
+            "prop2-dt0", "ball-underflow", "prop1-unsorted", "prop3-repeated",
+            "theorem-repeated", "prop2-repeated", "prop1-t0", "prop3-tinf"])
     def test_one_error_line(self, tmp_path, capsys, argv, reason):
         _assert_one_error_line(tmp_path, capsys, argv, reason)
 
@@ -168,6 +175,27 @@ class TestDegenerateInputs:
         Path(f"{well}.json").write_text(sidecar)
         _assert_one_error_line(tmp_path, capsys, ["spectral", "--potential", str(well)],
                                reason.format(well=str(well)))
+
+    @pytest.mark.parametrize("command", ["spectral", "verify-prop3"])
+    @pytest.mark.parametrize("csv_text,r_support,reason", [
+        ("r,v\n0,1e300\n1e-300,0\n1,0\n", "1", "no sign change of u'(R) found"),
+        ("r,v\n0,1e-300\n1,0\n", "1", "gamma1 does not fit a double"),
+        ("r,v\n0,1e300\n1,0\n", "1", "gamma1 does not fit a double"),
+        ("r,v\n0,1\n1e200,0\n", "1e200", "coupling scale (pi^2/8)/(v_max R^2) does not fit"),
+        ("r,v\n0,1\n1e-200,0\n", "1e-200", "coupling scale (pi^2/8)/(v_max R^2) does not fit"),
+    ], ids=["thin-spike", "shallow", "deep", "wide", "narrow"])
+    def test_extreme_well(self, tmp_path, capsys, command, csv_text, r_support, reason):
+        # each constant of these wells, or a step on the way to it, leaves a
+        # double's range
+        well = tmp_path / "well.csv"
+        well.write_text(csv_text)
+        Path(f"{well}.json").write_text(f'{{"r_support": {r_support}}}')
+        _assert_one_error_line(tmp_path, capsys, [command, "--potential", str(well)], reason)
+
+    def test_single_rung_ladder_fails(self, tmp_path, capsys):
+        # one horizon shows no decrease, so it cannot pass
+        assert main(["verify-prop1", "--T", "25", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL: errors not decreasing"
 
     def test_unwritable_failure_manifest_keeps_one_error_line(self, tmp_path, capsys):
         # the manifest's own path is taken, so the failed run cannot write it

@@ -303,6 +303,9 @@ class TestConvergenceTable:
         assert down.strictly_decreasing
         assert not up.strictly_decreasing
         assert down.errors == [0.5, 0.2]
+        # below two rows nothing has decreased
+        assert not ConvergenceTable("T", ((1.0, 0.5),)).strictly_decreasing
+        assert not ConvergenceTable("T", ()).strictly_decreasing
 
     def test_serialization_round_trip(self, tmp_path):
         tab = ConvergenceTable("eps", ((0.5, 0.25), (0.25, 0.0625)), meta={"beta": 1.0})

@@ -130,10 +130,14 @@ class TestKernelClosedForm:
         )
 
     def test_broadcasts_elementwise(self):
-        g = np.array([0.0, 1.0])
-        out = kernel_closed_form(g, 1.0, 1.0)
+        rho = np.array([1.0, 0.5])
+        out = kernel_closed_form(0.0, rho, 1.0)
         assert out.shape == (2,)
         assert out[0] == pytest.approx(0.24197072451914337, rel=1e-14)
+        assert out[1] == kernel_closed_form(0.0, 0.5, 1.0)
+        grid = kernel_closed_form(-2.0, rho.reshape(2, 1) * [1.0, 2.0, 3.0], 0.3)
+        assert grid.shape == (2, 3)
+        assert grid[1, 0] == kernel_closed_form(-2.0, 0.5, 0.3)
 
     @given(
         st.floats(min_value=-5.0, max_value=2.5),
@@ -209,12 +213,12 @@ class TestPastErfcxOverflow:
         assert zbar_correction(58.0, 20.0, 1.0) == pytest.approx(self.J_58, rel=1e-15)
 
     def test_arrays_reflect_only_the_overflowing_elements(self):
-        g = np.array([1.0, 58.0])
-        kernel = kernel_closed_form(g, 20.0, 1.0)
-        assert kernel[0] == kernel_closed_form(1.0, 20.0, 1.0)
+        # erfcx(-12.7) at rho 40 fits a double; erfcx(-26.87) at rho 20 does not
+        kernel = kernel_closed_form(58.0, [40.0, 20.0], 1.0)
+        assert kernel[0] == kernel_closed_form(58.0, 40.0, 1.0)
         assert kernel[1] == pytest.approx(self.I_58, rel=1e-15)
-        j = zbar_correction(g, 20.0, 1.0)
-        assert j[0] == zbar_correction(1.0, 20.0, 1.0)
+        j = zbar_correction(58.0, [40.0, 20.0], 1.0)
+        assert j[0] == zbar_correction(58.0, 40.0, 1.0)
         assert j[1] == pytest.approx(self.J_58, rel=1e-15)
 
     def test_true_overflow_is_inf(self):
@@ -229,6 +233,34 @@ class TestPastErfcxOverflow:
     def test_zeta_overflow_names_gamma(self):
         with pytest.raises(ValueError, match="gamma = 60.0"):
             zeta_constant(60.0)
+
+
+class TestScalarCouplingAndTime:
+    """gamma and t are scalars; rho alone is a scalar or an array."""
+
+    # rho 20 overflows erfcx at gamma 58, and e^{gamma^2 t/2 - gamma rho}
+    # itself overflows at rho 0.1
+    RHOS = (0.0, 0.1, 1.0, 20.0, 40.0)
+
+    @pytest.mark.parametrize("f", [kernel_closed_form, zbar_correction])
+    @pytest.mark.parametrize("gamma", [0.0, 5e-7, -1e-7, -2.0, 37.4, 58.0])
+    def test_point_call_is_the_one_element_call(self, f, gamma):
+        with np.errstate(over="ignore"):
+            for rho in self.RHOS:
+                point = f(gamma, rho, 1.0)
+                row = f(gamma, np.array([rho]), 1.0)
+                assert type(point) is float and row.shape == (1,)
+                assert np.array(point).tobytes() == row.tobytes(), rho
+                assert np.array(f(gamma, np.array(rho), 1.0)).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("f", [kernel_closed_form, zbar_correction])
+    def test_non_scalar_coupling_or_time_is_refused(self, f):
+        with pytest.raises(TypeError):
+            f(np.array([0.0, 1.0]), 1.0, 1.0)
+        with pytest.raises(TypeError):
+            f(1.0, 1.0, np.array([0.5, 1.0]))
+        with pytest.raises(TypeError):
+            f(np.array([1.0]), 1.0, 1.0)
 
 
 class TestZetaConstant:
