@@ -15,9 +15,11 @@ so path i is reproducible independently of the ensemble size.  The seed
 words of all n streams come from one vectorized pass over SeedSequence's
 mixing, and each worker keeps a single PCG64 that it re-seeds to path i's
 stream just before drawing path i.  The arithmetic runs in blocks of paths
-sized to about 2 MB per buffer, on one worker thread per usable core (one
-in all for paths under 200 steps), and evaluates v only at the points
-inside its support; the draws, positions and weights are bit-for-bit the
+on one worker thread per usable core (one in all for paths under 200
+steps).  Each worker holds two buffers, about 1.25 MiB together: the block's
+increments, cumulated in place into its paths, and one row per path that
+takes r^2 and then v in place.  v is evaluated only at the points inside
+its support; the draws, positions and weights are bit-for-bit the
 same whatever the block size or the core count.  Positions are recorded
 only at the requested record times; weights always accumulate over the
 full step grid.
@@ -58,9 +60,10 @@ __all__ = [
 # paths; ensembles warn and verification reports turn inconclusive.
 _ESS_FLOOR = 0.01
 
-# Each worker's increment and path buffers hold about this many bytes, and
-# never more than _BLOCK_PATHS_MAX paths.
-_BLOCK_BYTES = 2 << 20
+# Each worker's two buffers (a block's paths and its r^2-then-v rows) hold
+# together at most about this many bytes, and never more than
+# _BLOCK_PATHS_MAX paths.
+_BLOCK_BYTES = 5 << 18
 _BLOCK_PATHS_MAX = 64
 # Paths shorter than this run on one worker: each path's normal fill is then
 # too short a GIL-free call for a second worker to gain more than the GIL
@@ -207,23 +210,26 @@ def sample_weighted_paths(
     times = rec_idx * dt
 
     n = int(n)
+    # Paths go in blocks of at most _BLOCK_BYTES of buffers per worker, so
+    # every pass over a block (scale, cumsum, shift, r^2, v, sum) runs in
+    # cache at any horizon.  A path takes 3 * steps increments and
+    # steps + 1 values of r^2, under 4 * (steps + 1) doubles.  Block b goes
+    # to worker b % workers; the normal fills and ufunc loops release the
+    # GIL, so the workers run on separate cores.
+    path_bytes = 4 * 8 * (steps + 1)
+    block = max(1, min(_BLOCK_PATHS_MAX, _BLOCK_BYTES // path_bytes))
+    workers = 1
+    if steps >= _THREADED_MIN_STEPS:
+        workers = min(_usable_cores(), -(-n // block))
     # positions at the record times, the log-weight and four stream words
-    # per path; the workers' buffers are bounded by _BLOCK_BYTES
-    refuse_oversized(n, 8 * n * (3 * rec_idx.size + 5))
+    # per path, and every worker's buffers
+    refuse_oversized(n, 8 * n * (3 * rec_idx.size + 5) + workers * block * path_bytes)
     # stream i belongs to path i whatever n, the block size or the worker
     # count is
     words = spawn_words(seed, n)
     positions = np.empty((n, rec_idx.size, 3))
     log_weights = np.empty(n)
-    # Paths go in blocks of about _BLOCK_BYTES per buffer, so every pass
-    # over a block (scale, cumsum, shift, r^2, v, sum) runs in cache at any
-    # horizon.  Block b goes to worker b % workers; the normal fills and
-    # ufunc loops release the GIL, so the workers run on separate cores.
-    block = max(1, min(_BLOCK_PATHS_MAX, _BLOCK_BYTES // (3 * 8 * (steps + 1))))
     bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    workers = 1
-    if steps >= _THREADED_MIN_STEPS:
-        workers = min(_usable_cores(), len(bounds))
 
     def work(mine):
         gen = np.random.Generator(np.random.PCG64(0))
@@ -233,14 +239,10 @@ def sample_weighted_paths(
             seed_pcg64(gen.bit_generator, words[i].tolist())
             gen.standard_normal(out=out)
 
-        # increments, path, r^2 and v; coordinates-major so the cumsum runs
-        # on the contiguous axis
-        bufs = (
-            np.empty((block, 3, steps)),
-            np.empty((block, 3, steps + 1)),
-            np.empty((block, steps + 1)),
-            np.empty((block, steps + 1)),
-        )
+        # each path's increments, then its path after step 0, coordinates-
+        # major so the cumsum runs on the contiguous axis; and its r^2, then
+        # v, over the whole grid
+        bufs = np.empty((block, 3, steps)), np.empty((block, steps + 1))
         for lo, hi in mine:
             _simulate_block(
                 normals, lo, hi, bufs, v, beta, dt, start, rec_idx,
@@ -270,26 +272,33 @@ def _simulate_block(
 
     normals(i, out) fills out with standard normals from path i's stream.
     """
-    incr, path, r2, vals = bufs
     m = hi - lo
+    path, vals = bufs[0][:m], bufs[1][:m]
     for j in range(m):
-        normals(lo + j, incr[j])
-    incr[:m] *= math.sqrt(dt)
-    np.cumsum(incr[:m], axis=2, out=path[:m, :, 1:])
-    path[:m, :, 1:] += start[:, np.newaxis]
-    path[:m, :, 0] = start
-    np.einsum("ikj,ikj->ij", path[:m], path[:m], out=r2[:m])
+        normals(lo + j, path[j])
+    # increments to positions in place: step k + 1 of the path is column k
+    path *= math.sqrt(dt)
+    np.cumsum(path, axis=2, out=path)
+    path += start[:, np.newaxis]
+    # the same sum of squares, in the same order, that the grid points get
+    vals[:, 0] = start[0] * start[0] + start[1] * start[1] + start[2] * start[2]
+    np.einsum("ikj,ikj->ij", path, path, out=vals[:, 1:])
     # v only where it can be nonzero (the slack keeps round-off in r^2 from
     # dropping a point on the edge); the zeros elsewhere keep the sum below
     # running over the same full-grid array
-    inside = r2[:m] <= (v.r_support * (1.0 + 1e-9)) ** 2
-    vals[:m] = 0.0
-    vals[:m][inside] = v(np.sqrt(r2[:m][inside]))
+    inside = vals <= (v.r_support * (1.0 + 1e-9)) ** 2
+    v_inside = v(np.sqrt(vals[inside]))
+    vals.fill(0.0)
+    vals[inside] = v_inside
     # trapezoid along the grid: interior points full weight, ends half
     log_weights[lo:hi] = beta * dt * (
-        vals[:m].sum(axis=1) - 0.5 * (vals[:m, 0] + vals[:m, -1])
+        vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])
     )
-    positions[lo:hi] = path[:m, :, rec_idx].transpose(0, 2, 1)
+    # recorded step 0 (only ever the first record) is the start; step k > 0
+    # is path column k - 1
+    first = int(rec_idx[0] == 0)
+    positions[lo:hi, :first] = start
+    positions[lo:hi, first:] = path[:, :, rec_idx[first:] - 1].transpose(0, 2, 1)
 
 
 def ks_distance(samples, log_weights, model_cdf) -> float:
@@ -440,6 +449,8 @@ def verify_theorem2(
             pos = e.positions[:, rec.index(i), :] / math.sqrt(T)
             radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
             rows.append((T, t, ks_distance(radii, e.log_weights, model_cdfs[t])))
+        # the next horizon's sample need not share memory with this one's
+        del e, pos, radii
         if T not in reasons and _weight_moment_exponent(v, beta, T) > -math.log(_ESS_FLOOR):
             reasons[T] = "predicted_moment"
 
@@ -537,6 +548,9 @@ def verify_prop2(
         vals = e.weights * np.asarray(f(radii / math.sqrt(T)), dtype=float)
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+        ess_warning = e.ess_warning
+        # the next horizon's sample need not share memory with this one's
+        del e, pos, radii, vals
 
         r = np.linspace(0.0, ry + 8.0 * math.sqrt(tau), 4096)[1:]
         fr = np.asarray(f(r / math.sqrt(T)), dtype=float)
@@ -553,7 +567,7 @@ def verify_prop2(
         # sample claims, so the row is inconclusive by analysis
         if se > abs(est - ref):
             reasons[T] = "standard_error"
-        elif e.ess_warning:
+        elif ess_warning:
             reasons[T] = "realized_ess"
         elif _weight_moment_exponent(v, beta, tau) > 2.0 * math.log(n):
             reasons[T] = "predicted_moment"

@@ -139,9 +139,11 @@ class TestDegenerateInputs:
         (["verify-prop2", "--T", "4,4"], "T_list must be non-empty and strictly increasing"),
         (["verify-prop1", "--t", "0"], "t must be positive and finite, got 0.0"),
         (["verify-prop3", "--t", "inf"], "t must be positive and finite, got inf"),
+        # 1e11 steps: the sampler's buffers alone would take 3.2 TB
+        (["verify-theorem", "--T", "1000000000", "--n-paths", "1000"], "n = 1000 paths need"),
     ], ids=["prop1-T0", "prop3-T0", "prop2-T0", "prop2-Tinf", "theorem-Tinf", "theorem-dt0",
             "prop2-dt0", "ball-underflow", "prop1-unsorted", "prop3-repeated",
-            "theorem-repeated", "prop2-repeated", "prop1-t0", "prop3-tinf"])
+            "theorem-repeated", "prop2-repeated", "prop1-t0", "prop3-tinf", "theorem-T1e9"])
     def test_one_error_line(self, tmp_path, capsys, argv, reason):
         _assert_one_error_line(tmp_path, capsys, argv, reason)
 
@@ -466,15 +468,16 @@ class TestVerifyCommands:
         }
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys):
-        # 1e14 steps per path: even a one-path block's buffers (2.4e15 bytes)
-        # exceed the address space, so the allocation fails on any host
+        # 1e14 steps per path: even a one-path block's buffers (3.2e15 bytes)
+        # exceed the address space, and the sampler's memory estimate, which
+        # counts them, refuses the sample before anything is allocated
         code = main(["verify-theorem", "--chi", "0", "--T", "1e12", "--times", "1",
                      "--n-paths", "1000", "--out", str(tmp_path)])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "allocate" in err
+        assert err.startswith("error: n = 1000 paths need")
         assert not (tmp_path / "theorem2.json").exists()
 
     def test_worker_error_exits_1_from_either_worker(self, tmp_path, capsys, monkeypatch):

@@ -39,16 +39,46 @@ def free_ensemble(ball):
     return sample_weighted_paths(ball, 0.0, 1.0, 0.01, 4000, seed=13)
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes traced while a second call() runs.
+
+    The first call warms numpy's lazy imports (numpy.random, and numpy.ma
+    under np.unique), about 1.2 MB traced when the file runs alone.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSampler:
     def test_oversized_n_refused_before_allocating(self, ball):
-        tracemalloc.start()
-        try:
+        def call():
             with pytest.raises(ValueError, match=r"n = 1000000000000 paths need"):
                 sample_weighted_paths(ball, 1.0, 9.0, 0.01, 10**12, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert _traced_peak(call) < 2**20
+
+    def test_long_horizon_refused_before_allocating(self, ball):
+        # 1e11 steps: one path's buffers alone take 3.2 TB
+        def call():
+            with pytest.raises(ValueError, match=r"n = 1000 paths need"):
+                sample_weighted_paths(ball, 1.0, 1e9, 0.01, 1000, seed=0)
+
+        assert _traced_peak(call) < 2**20
+
+    def test_worker_buffers_bounded(self, ball, monkeypatch):
+        # two workers' path and r^2 buffers, about 1.25 MiB each, and 2000
+        # paths' two recorded positions trace 2.8 MiB; with a separate path
+        # and v buffer per worker, as 2 MiB each, they traced 10.9 MiB
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        peak = _traced_peak(lambda: sample_weighted_paths(
+            ball, 1.0, 25.0, 0.01, 2000, seed=0, record_times=[12.5, 25.0]
+        ))
+        assert peak < 4 * 2**20
 
     def test_free_weights_are_unity(self, free_ensemble):
         assert np.all(free_ensemble.log_weights == 0.0)
@@ -88,8 +118,8 @@ class TestSampler:
     def test_weighted_paths_pinned_bit_for_bit(self, ball):
         # digests taken from the single-threaded 64-path chunk loop, so a
         # block, mask or thread layout that moves one bit fails here.
-        # T = 25 has 2501 grid points, so 1000 paths make 29 full 34-path
-        # blocks and a ragged 14-path one; the off-origin start at T = 4
+        # T = 25 has 2501 grid points, so 1000 paths make 62 full 16-path
+        # blocks and a ragged 8-path one; the off-origin start at T = 4
         # sends paths across the well edge both ways
         cases = [
             (dict(beta=1.0, T=25.0, seed=11, record_times=[12.5, 25.0]),
@@ -107,6 +137,34 @@ class TestSampler:
             assert hashlib.sha256(e.log_weights.tobytes()).hexdigest() == lw_digest
         # some paths of the second case never reach the well, most do
         assert 0.0 < np.mean(e.log_weights == 0.0) < 0.5
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_draws_independent_of_block_size(self, ball, monkeypatch, block):
+        # digests taken from the four-buffer sampler, which recorded step 0
+        # from its path buffer; T = 4 has 401 grid points, each path's
+        # buffers take 4 * 8 * 401 bytes, and the off-origin start crosses
+        # the well edge
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block * 4 * 8 * 401)
+        sizes = set()
+        simulate = montecarlo._simulate_block
+
+        def spy(normals, lo, hi, *args):
+            sizes.add(hi - lo)
+            simulate(normals, lo, hi, *args)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            e = sample_weighted_paths(
+                ball, 0.8, 4.0, 0.01, 1000, seed=17, start=(0.3, -0.7, 1.1),
+                record_times=[0.0, 0.01, 2.0, 4.0],
+            )
+        assert max(sizes) == block
+        assert np.all(e.positions[:, 0, :] == np.array([0.3, -0.7, 1.1]))
+        assert hashlib.sha256(e.positions.tobytes()).hexdigest() == (
+            "d34e73d4e048a4bc3de592badb41f22ca4c05f58b7d83b3f4d0fdf6c3ec2c9d1")
+        assert hashlib.sha256(e.log_weights.tobytes()).hexdigest() == (
+            "2900b64b99fee51f93370e7b6224c8ac1bbb6dd896ed39c7f08058664599ce7a")
 
     def test_draws_independent_of_core_count(self, ball, monkeypatch):
         # 1003 paths at T = 2 make 15 full 64-path blocks and a ragged one,
