@@ -16,12 +16,17 @@ This module alone knows the file formats.  ``marginal`` and the verify
 commands write each table twice, as ``<name>.json`` (the report's fields)
 and ``<name>.csv`` (a header and one row per entry, CRLF line ends);
 ``sample`` writes ``paths.csv``, ``spectral`` and ``kernel`` one JSON file
-each.  Numbers are written with repr(), i.e. shortest round-trip decimal.
-Every JSON file holds the bytes ``json.dump(payload, fh, indent=2)`` would
-write, plus a newline.  The payload's values go through ``json.dumps``,
-except a float table held directly in it (the resonance profile, a
-marginal's radii and density), which is turned into text a block of rows
-at a time instead of one token at a time.
+each.  Numbers are written as repr() writes them, i.e. shortest round-trip
+decimal.  A float table of _VECTOR_MIN numbers or more is turned into those
+bytes a block at a time by numpy, which leaves to repr() each number it
+cannot settle for certain (outside repr's positional range, a power of
+two, or a rounding within 1e-9 of its boundary); smaller tables are joined
+from repr() itself.  Every JSON file holds the bytes
+``json.dump(payload, fh, indent=2)`` would write, plus a newline.  The
+payload's values go through ``json.dumps``, except a float table held
+directly in it (the resonance profile, a marginal's radii and density),
+which is turned into text a block of rows at a time instead of one token
+at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse takes "-1e-3" or "-inf" after a flag for an option of its
+        # own, as its pattern for negative numbers has no exponent; no option
+        # here starts with "-" and a digit, a point, "inf" or "nan", so such a
+        # word is always a value, as it is after "="
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on bad flags; the exit-code contract
     # reserves 2 for verification failures, so route usage errors to 1.
     def error(self, message: str):
@@ -174,12 +187,202 @@ def _resolve_seed(arg_seed) -> int:
     return 0
 
 
-# rows per string of a float table: each string, and the list and bytes
-# behind it, stays below glibc's 128 KiB mmap threshold.  Freeing a larger
-# block raises that threshold for the rest of the process, and with it
-# where the sampler's later arrays land: one string for the whole psi
-# table put zero-range peak RSS 4.3 MB above the parent's.
-_TABLE_ROWS = 1024
+# rows per block of a one-column float table; a table of c columns is
+# formatted max(1, _TABLE_ROWS // c) rows at a time.  A block's frame holds
+# 24 bytes a number plus its separator (2 in CSV, up to 20 in JSON) and, in
+# CSV, its row's number: at most 44 bytes a number, so the frame, its
+# transposed copy and every other temporary of a block stay below glibc's
+# 128 KiB mmap threshold.  Freeing a larger block raises that threshold for
+# the rest of the process, and with it where the sampler's later arrays
+# land: one string for the whole psi table put zero-range peak RSS 4.3 MB
+# above the parent's.
+_TABLE_ROWS = 2560
+
+# tables of fewer numbers are joined from repr() directly: a block costs
+# about 150 us however few numbers it holds, and repr() takes as long for
+# 130-260 numbers (medians of 200 calls on a 2-vCPU Xeon, CSV and JSON
+# layouts of 1, 2 and 65 columns)
+_VECTOR_MIN = 200
+
+# Dekker's splitter 2**27 + 1, and 10**k for k = 0..22, all exact, each
+# split in two 26-bit halves
+_SPLIT = 134217729.0
+_P10 = 10.0 ** np.arange(23)
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+_EXPONENT = np.uint64(0x7FF0000000000000)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_STEPS = np.array([[100.0], [10.0], [1.0]])
+# "0000" to "9999" as little-endian uint32
+_QUADS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+          % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+_DIGIT = np.arange(18, dtype=np.int8)[:, None]
+# what goes in front of the digits, right-aligned in six bytes, for
+# e = -4, ..., 0 (and above), each unsigned and then signed
+_PREFIXES = np.array([
+    (b"-" * sign + (b"0." + b"0" * (-1 - e) if e < 0 else b"")).rjust(6, b"\0")
+    for e in range(-4, 1) for sign in (0, 1)
+]).view(np.uint8).reshape(10, 6).T.copy()
+
+
+def _repr_digits(v: np.ndarray):
+    """repr's digits of each value of the 1-d float64 array v, where certain.
+
+    Returns (fast, e, top, low): where fast, repr(v) is positional with
+    digits top * 1e8 + low (17 of them, zero-padded; top in [1e8, 1e9)) and
+    first digit at 10**e; ±0.0 is fast with all-zero digits.  Elsewhere
+    repr() must decide: outside 1e-4 <= |v| < 1e16 (nan, infinities,
+    subnormals and exponent notation), at powers of two (whose rounding
+    interval is lopsided), and where a rounding or interval test falls
+    within 1e-9 of its boundary.
+
+    y = |v| * 10**(16 - e) is formed exactly as hi + lo (Dekker's product;
+    10**k is exact for k <= 22), and every decimal closer to y than half,
+    the half-gap to the neighbouring doubles in the same units, reads back
+    as v.  repr's digits are the shortest such decimal, the nearest one among
+    equals.  So they are the first of y's nearest 15-, 16- and 17-digit
+    roundings that lies inside: any decimal of 15 digits or fewer that does
+    is the nearest 15-digit one, because 15-digit decimals lie more than a
+    double's gap apart.
+    """
+    n = len(v)
+    ax = np.abs(v)
+    # 9999999999999998.0 is the largest double below 1e16
+    x = np.fmax(np.fmin(ax, 9999999999999998.0), 1e-4)
+    fast = x == ax
+    fast &= v.view(np.uint64) & _MANTISSA != 0
+    k = np.log10(x)
+    k = (16.0 - np.floor(k, out=k)).astype(np.intp)
+    p = _P10[k]
+    hi = x * p
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    ph, pl = _P10_HI[k], _P10_LO[k]
+    lo = xh * ph
+    lo -= hi
+    lo += xh * pl
+    lo += xl * ph
+    lo += xl * pl
+    half = (x.view(np.uint64) & _EXPONENT).view(np.float64)
+    half *= p
+    half *= 2.0 ** -53
+    top = np.floor(hi / 1e8)
+    low = hi - top * 1e8
+    # each row: the step from low to y's nearest multiple of 100, 10 and 1.
+    # r is low's remainder give or take a step, as the reciprocal may round
+    r = low - np.floor(low * (1.0 / _STEPS)) * _STEPS
+    delta = np.floor((r + lo) * (1.0 / _STEPS) + 0.5) * _STEPS - r
+    dist = np.abs(delta - lo)
+    inside = dist < half * (1.0 - 1e-9)
+    inside &= np.abs(dist - 0.5 * _STEPS) > 1e-9 * _STEPS  # not a tie
+    # the first rounding not clearly outside decides
+    stop = dist <= half * (1.0 + 1e-9)
+    pick = (2 - (stop[0] | stop[1]) - stop[0]) * n
+    pick += np.arange(n)
+    low += np.take(delta, pick)
+    fast &= np.take(inside, pick)
+    fast &= (hi >= 1e16) & (hi < 1e17) & (low >= 0.0)
+    carry = low >= 1e8
+    top += carry
+    low -= carry * 1e8
+    fast &= top < 1e9
+    zero = ax == 0.0
+    fast |= zero
+    e = (16 - k).astype(np.int8)
+    for a in (e, top, low):
+        a *= ~zero
+    return fast, e, top, low
+
+
+def _digit_rows(top: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The 17 digits of top * 1e8 + low as ASCII rows, and a row of zero bytes."""
+    n = len(top)
+    first = np.floor(top / 1e8)
+    quads = np.empty((4, n))
+    quads[1] = top - first * 1e8
+    quads[0] = np.floor(quads[1] / 1e4)
+    quads[1] -= quads[0] * 1e4
+    quads[2] = np.floor(low / 1e4)
+    quads[3] = low - quads[2] * 1e4
+    text = _QUADS[quads.astype(np.intp)].view(np.uint8).reshape(4, n, 4)
+    rows = np.empty((18, n), np.uint8)
+    rows[0] = first
+    rows[0] += 48
+    rows[1:17].reshape(4, 4, n)[...] = text.transpose(0, 2, 1)
+    rows[17] = 0
+    return rows
+
+
+def _format_block(v: np.ndarray, ncols: int, sep: bytes, end: bytes, lead: int,
+                  first_row: int) -> np.ndarray:
+    """repr text of the numbers v, rows of ncols, each followed by sep or end.
+
+    With lead, each row starts with its number (from first_row) and a comma,
+    in lead bytes.  Each number gets a frame column of fixed slots that
+    zero bytes leave empty: the row number, a right-aligned prefix ("-",
+    "0." and zeros), the digits with the point among them, and the
+    separator.  Dropping the zero bytes leaves the text.
+    """
+    n = len(v)
+    width = lead + 24 + max(len(sep), len(end))
+    frame = np.empty((width, n), np.uint8)
+    fast, e, top, low = _repr_digits(v)
+    digits = _digit_rows(top, low)
+    # keep the significant digits, and any up to the one after the point
+    last = ((digits[:17] != 48) * _DIGIT[1:]).max(axis=0)
+    digits *= _DIGIT < np.maximum(last, e + 2)
+    # the point goes after digit e where e >= 0; the prefix holds the rest's
+    point = e + 1
+    point[e < 0] = 99
+    body = frame[lead + 6:lead + 24]
+    np.multiply(digits, _DIGIT < point, out=body)
+    body += (_DIGIT == point) * np.uint8(46)
+    body[1:] += digits[:17] * (_DIGIT[1:] > point)
+    which = np.minimum(e, 0) + 4
+    which *= 2
+    which += np.signbit(v)
+    np.take(_PREFIXES, which, axis=1, out=frame[lead:lead + 6])
+    if not fast.all():
+        slow = np.nonzero(~fast)[0]
+        texts = np.array([repr(x).encode() for x in v[slow].tolist()])
+        frame[lead:lead + 24, slow] = 0
+        frame[lead:lead + texts.itemsize, slow] = texts.view(np.uint8).reshape(len(slow), -1).T
+    tail = frame[lead + 24:]
+    tail[:len(sep)] = np.frombuffer(sep, np.uint8)[:, None]
+    tail[len(sep):] = 0
+    tail[:, ncols - 1::ncols] = 0
+    tail[:len(end), ncols - 1::ncols] = np.frombuffer(end, np.uint8)[:, None]
+    if lead:
+        numbers = np.array([b"%d," % i for i in range(first_row, first_row + n // ncols)])
+        frame[:lead] = 0
+        frame[:numbers.itemsize, ::ncols] = numbers.view(np.uint8).reshape(len(numbers), -1).T
+    text = frame.T.copy()
+    return text[text != 0]
+
+
+def _write_table(write, a: np.ndarray, sep: str, end: str, index: bool = False) -> None:
+    """Write a 2-d float64 table as repr text: cells joined by sep, rows by end.
+
+    With index, each row starts with its 0-based number and a comma.  The
+    bytes are repr's: small tables are joined from repr() itself, larger
+    ones formatted in blocks by _format_block, which leaves to repr() the
+    numbers that _repr_digits cannot settle.
+    """
+    nrows, ncols = a.shape
+    if a.size < _VECTOR_MIN:
+        rows = (sep.join(map(float.__repr__, row)) for row in a.tolist())
+        if index:
+            rows = (f"{i},{row}" for i, row in enumerate(rows))
+        write(end.join(rows).encode())
+        return
+    sep, end = sep.encode(), end.encode()
+    lead = len(str(nrows - 1)) + 1 if index else 0
+    step = max(1, _TABLE_ROWS // ncols)
+    for start in range(0, nrows, step):
+        text = _format_block(a[start:start + step].ravel(), ncols, sep, end, lead, start)
+        # the last row ends the table, not a row
+        write(text if start + step < nrows else text[:len(text) - len(end)])
 
 
 def _json_table(a: np.ndarray, level: int, write) -> None:
@@ -187,20 +390,14 @@ def _json_table(a: np.ndarray, level: int, write) -> None:
     pad = "\n" + "  " * level
     row = pad + "  "
     if a.ndim == 1:
-        lead, sep, close = "[" + row, "," + row, pad + "]"
+        write(("[" + row).encode())
+        _write_table(write, a.reshape(-1, 1), "", "," + row)
+        write((pad + "]").encode())
     else:
         cell = row + "  "
-        lead, sep = "[" + row + "[" + cell, row + "]," + row + "[" + cell
-        close = row + "]" + pad + "]"
-        join_row = ("," + cell).join
-    for start in range(0, len(a), _TABLE_ROWS):
-        texts = map(float.__repr__, a[start:start + _TABLE_ROWS].ravel().tolist())
-        if a.ndim == 2:
-            # zip over one iterator, once per column, deals the numbers out row by row
-            texts = map(join_row, zip(*[texts] * a.shape[1]))
-        write(lead + sep.join(texts))
-        lead = sep
-    write(close)
+        write(("[" + row + "[" + cell).encode())
+        _write_table(write, a, "," + cell, row + "]," + row + "[" + cell)
+        write((row + "]" + pad + "]").encode())
 
 
 def _tolist(o):
@@ -216,35 +413,41 @@ def _write_json(path: str, payload) -> None:
     A finite, non-empty float table held directly in a str-keyed payload
     goes through _json_table; everything else through json.dumps.
     """
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
+        # json.dumps escapes everything past ASCII
+        def write(text: str) -> None:
+            fh.write(text.encode("ascii"))
+
         if isinstance(payload, dict) and payload and all(isinstance(k, str) for k in payload):
             lead = "{\n  "
             for key, value in payload.items():
-                fh.write(lead + json.dumps(key) + ": ")
+                write(lead + json.dumps(key) + ": ")
                 if (isinstance(value, np.ndarray) and value.dtype == np.float64
                         and value.ndim in (1, 2) and value.size and np.isfinite(value).all()):
                     _json_table(value, 1, fh.write)
                 else:
                     # JSON text holds a raw newline only where it indents
-                    fh.write(json.dumps(value, indent=2, default=_tolist).replace("\n", "\n  "))
+                    write(json.dumps(value, indent=2, default=_tolist).replace("\n", "\n  "))
                 lead = ",\n  "
-            fh.write("\n}")
+            write("\n}")
         else:
-            fh.write(json.dumps(payload, indent=2, default=_tolist))
-        fh.write("\n")
+            write(json.dumps(payload, indent=2, default=_tolist))
+        write("\n")
 
 
 def _write_csv(path: str, header, rows, index: bool = False) -> None:
     """A header and rows of numbers, in the csv module's dialect.
 
-    Each cell is repr(float(x)), which never needs quoting; with index, each
-    row starts with its 0-based number.  Lines end in CRLF.
+    rows is a 2-d array or a sequence of equal-length rows.  Each cell is
+    repr(float(x)), which never needs quoting; with index, each row starts
+    with its 0-based number.  Lines end in CRLF.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i, row in enumerate(rows):
-            lead = f"{i}," if index else ""
-            fh.write(lead + ",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\r\n")
+    table = np.asarray(rows, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if len(table):
+            _write_table(fh.write, table, ",", "\r\n", index)
+            fh.write(b"\r\n")
 
 
 def _write_report(cfg: RunConfig, name: str, payload: dict, header, rows) -> list:
@@ -309,7 +512,7 @@ def _cmd_marginal(cfg: RunConfig):
         r, density = dens.grid, dens.values
         outs += _write_report(cfg, f"marginal_t{t:g}",
                               {"t": t, "gamma": cfg.gamma, "r": r, "density": density},
-                              ("r", "density"), zip(r, density))
+                              ("r", "density"), np.column_stack((r, density)))
     return 0, outs, [f"wrote {len(cfg.times)} marginal table(s)"]
 
 

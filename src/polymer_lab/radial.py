@@ -64,7 +64,7 @@ class RadialDensity:
     def require_normalized(self, tol: float = 1e-3) -> None:
         total = self.integral()
         if abs(total - 1.0) > tol:
-            raise ValueError(f"marginal integrates to {total:.6f}, outside 1 +- {tol}")
+            raise ValueError(f"marginal integrates to {total!r}, outside 1 +- {tol!r}")
 
     def cdf(self) -> np.ndarray:
         """Cumulative distribution on the grid, clipped to [0, 1]."""

@@ -194,6 +194,14 @@ class TestDegenerateInputs:
         Path(f"{well}.json").write_text(f'{{"r_support": {r_support}}}')
         _assert_one_error_line(tmp_path, capsys, [command, "--potential", str(well)], reason)
 
+    def test_unnormalized_marginal_names_its_mass_in_a_short_line(self, tmp_path, capsys):
+        _assert_one_error_line(tmp_path, capsys, ["marginal", "--gamma", "1", "--times", "1e-300"],
+                               "marginal integrates to")
+        message = json.loads((tmp_path / "manifest.json").read_text())["error"]
+        mass = re.fullmatch(r"marginal integrates to (\S+), outside 1 \+- 0\.001", message)
+        assert mass and float(mass[1]) > 1e100
+        assert len(message) < 80
+
     def test_single_rung_ladder_fails(self, tmp_path, capsys):
         # one horizon shows no decrease, so it cannot pass
         assert main(["verify-prop1", "--T", "25", "--out", str(tmp_path)]) == 2
@@ -562,6 +570,27 @@ class TestUsage:
         assert main(["verify-prop3", "--T", "9;25"]) == 1
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--gamma", "-1e-3"],
+        ["kernel", "--gamma", "-.5E1", "--rho", "2"],
+        ["kernel", "--gamma", "-inf"],
+        ["verify-prop1", "--chi", "-1e300", "--T", "4,9"],
+        ["marginal", "--times", "-1e-3,1"],
+    ], ids=["exponent", "point-first", "inf", "prop1-huge", "list"])
+    def test_negative_numbers_read_as_after_equals(self, tmp_path, capsys, argv):
+        joined = argv[:1] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        runs = []
+        for name, args in (("spaced", argv), ("joined", joined)):
+            code = main(args + ["--out", str(tmp_path / name)])
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["config"]["out_dir"], manifest["wall_time_s"]
+            runs.append((code, capsys.readouterr(), files, manifest))
+        assert "usage error" not in runs[0][1].err
+        assert runs[0] == runs[1]
+        if argv[0] == "kernel" and argv[2] == "-1e-3":
+            assert runs[0][0] == 0 and set(runs[0][2]) == {"kernel.json"}
+
     def test_import_loads_no_scipy(self):
         # a fresh interpreter, as for every command: SciPy is a test
         # dependency only, and the package loads no module of it
@@ -794,3 +823,119 @@ class TestJsonWriter:
             for path in written:
                 text = path.read_text()
                 assert text == json.dumps(json.loads(text), indent=2) + "\n", path
+
+
+def _repr_csv(rows, index=False) -> bytes:
+    """The CSV text of rows under a one-cell header, from repr() itself."""
+    lines = ["x"] + [(f"{i}," if index else "") + ",".join(map(repr, row))
+                     for i, row in enumerate(np.asarray(rows, dtype=float).tolist())]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def _written_csv(rows, index=False) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "out.csv")
+        cli._write_csv(str(path), ("x",), rows, index=index)
+        return path.read_bytes()
+
+
+def _tiled(values, ncols: int) -> np.ndarray:
+    """All of values, repeated into a table of ncols columns that takes the vectorized route."""
+    rows = max(len(values), cli._VECTOR_MIN) // ncols + 1
+    return np.resize(np.asarray(values, dtype=float), (rows, ncols))
+
+
+def _float_families() -> dict:
+    rng = np.random.default_rng(2024)
+    exps = rng.integers(-4, 16, 400).tolist()
+
+    def ties(digits):
+        # a decimal of digits + 1 significant digits ending in 5, between two
+        # digits-digit roundings, read to the nearest double
+        heads = rng.integers(10 ** (digits - 1), 10 ** digits, 400).tolist()
+        return [float(f"{h}5e{x - digits}") for h, x in zip(heads, exps)]
+
+    edges = [b + j * np.spacing(b) for b in (1e-4, 1e16) for j in range(-40, 41)]
+    integers = np.concatenate([rng.integers(0, 2**53, 400), 2**53 - np.arange(100),
+                               np.arange(-1000, 1000)]).astype(float)
+    subnormals = np.concatenate([rng.integers(1, 2**52, 400).view(np.float64),
+                                 [5e-324, 2.2250738585072014e-308,
+                                  np.nextafter(2.2250738585072014e-308, 0.0)]])
+    families = {
+        "edges": edges,
+        "powers-of-two": 2.0 ** np.arange(-1074, 1024),
+        "ties-15": ties(15),
+        "ties-16": ties(16),
+        "ties-17": ties(17),
+        "integers": integers,
+        "subnormals": subnormals,
+        "specials": [0.0, -0.0, math.nan, math.inf, -math.inf],
+    }
+    return {name: np.concatenate([values, np.negative(values)])
+            for name, values in families.items()}
+
+
+_FAMILIES = _float_families()
+
+
+class TestTableWriter:
+    """Every float table the CLI writes holds repr()'s bytes."""
+
+    @given(_FLOATS)
+    @example(0.1)
+    @example(-0.0)
+    @example(9999999999999998.0)
+    @example(1e-4)
+    @example(math.nan)
+    def test_single_values_are_repr(self, x):
+        rows = _tiled([x], 1)
+        assert _written_csv(rows) == _repr_csv(rows)
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 9)),
+                      elements=_FLOATS), st.booleans())
+    def test_tables_are_repr(self, table, index):
+        rows = np.tile(table, (cli._VECTOR_MIN // table.size + 1, 1))
+        assert _written_csv(rows, index) == _repr_csv(rows, index)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("ncols", [1, 7])
+    def test_families(self, family, ncols):
+        rows = _tiled(_FAMILIES[family], ncols)
+        assert _written_csv(rows, index=True) == _repr_csv(rows, index=True)
+        finite = rows[np.isfinite(rows).all(axis=1)]
+        x = {"table": finite, "column": finite[:, 0]}
+        assert _emit(x) == json.dumps(_plain(x), indent=2)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_size_crossover(self, monkeypatch, offset):
+        n = cli._VECTOR_MIN + offset
+        blocks = []
+        format_block = cli._format_block
+
+        def counted(v, *args):
+            blocks.append(len(v))
+            return format_block(v, *args)
+
+        monkeypatch.setattr(cli, "_format_block", counted)
+        rng = np.random.default_rng(n)
+        rows = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n)).reshape(-1, 1)
+        assert _written_csv(rows, index=True) == _repr_csv(rows, index=True)
+        assert blocks == ([] if n < cli._VECTOR_MIN else [n])
+
+    def test_files_keep_their_bytes(self, tmp_path, capsys):
+        # digests of what the writer that called repr() once a number wrote
+        well = tmp_path / "well.csv"
+        well.write_text("r,v\n0.0,3.0\n0.2,1.5\n0.5,0.0\n")
+        (tmp_path / "well.csv.json").write_text(json.dumps({"r_support": 0.7}))
+        runs = {
+            "sample/paths.csv": (["sample", "--steps", "64", "--n-paths", "2000", "--seed", "1"],
+                                 "00f853bb43174360c5d147264a070abffde32f602e259030389cd4f3fb943301"),
+            "ball/spectral.json": (["spectral"],
+                                   "3a1983df22828605a36b7d7bb70db60a0c4fe6b434cb4d1c5ab7d525d223e22d"),
+            "well/spectral.json": (["spectral", "--potential", str(well)],
+                                   "07b8fd82b95b86f680a6613d6e0532ae68c9c707c7b184ce16b0633406a93840"),
+        }
+        for name, (argv, digest) in runs.items():
+            out = tmp_path / name.partition("/")[0]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
